@@ -42,9 +42,10 @@ SCHEMA_VERSION = 1
 #: The trajectory point this tree produces (PR number of record).
 BENCH_ID = "BENCH_10"
 
-#: Machine axes of the matrix: the uniprocessor fast paths and the SMP
-#: paths are different code (see sched/vanilla.py's ``_fold_proc``), so
-#: both must stay on the trajectory.
+#: Machine axes of the matrix: SMP adds per-CPU work the uniprocessor
+#: never does (the global runqueue lock, per-CPU queues, sched/vanilla.py
+#: masking other CPUs' running tasks), so both must stay on the
+#: trajectory.
 MACHINES = ("UP", "4P")
 
 #: Workload axes: one scan-bound simulated benchmark, one fork-heavy
@@ -125,7 +126,7 @@ class BenchPair:
     only as the measured baseline and behavioural cross-check.
     """
 
-    dimension: str  # "runqueue" | "elsc-table" | "probe-batch" | "smp-weights"
+    dimension: str  # "runqueue" | "elsc-table" | "probe-batch"
     workload: str
     scheduler: str
     machine: str
@@ -194,9 +195,9 @@ def pair_cells(smoke: bool = False) -> list[BenchPair]:
     if smoke:
         return [BenchPair("runqueue", "volano", "reg", "UP", scan_heavy)]
     return [
-        # sched/vanilla.py: contiguous array + cached rq_weight vs the
-        # historical linked-list walk.  The UP cell is the acceptance
-        # pair: the affinity bonus folds into the cached weight there.
+        # sched/vanilla.py: builtin argmax over per-CPU goodness rows vs
+        # the reference linked-list walk.  The UP cell is the acceptance
+        # pair.
         BenchPair("runqueue", "volano", "reg", "UP", scan_heavy),
         BenchPair("runqueue", "volano", "reg", "4P", scan_heavy),
         # core/table.py: ELSCRunqueueTable (array lists + bitmaps) vs
@@ -207,11 +208,6 @@ def pair_cells(smoke: bool = False) -> list[BenchPair]:
         BenchPair(
             "probe-batch", "volano", "reg", "UP", _cfg(BATCH_VOLANO_CONFIG)
         ),
-        # sched/vanilla.py: per-CPU pre-folded weight arrays vs the
-        # per-element ``processor`` re-test on the SMP goodness scan
-        # (``smp_fold=False`` keeps the dynamic re-test alive as the
-        # before side).
-        BenchPair("smp-weights", "volano", "reg", "4P", scan_heavy),
     ]
 
 

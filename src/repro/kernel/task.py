@@ -86,7 +86,6 @@ class Task:
         "rt_priority",
         "mm",
         "run_list",
-        "rq_weight",
         "has_cpu",
         "processor",
         # -- simulator-side fields ------------------------------------
@@ -142,11 +141,6 @@ class Task:
         # scheduler; start unlinked.
         self.run_list.next = None
         self.run_list.prev = None
-        #: Scheduler scratch: the vanilla array runqueue caches the
-        #: task's goodness weight here (see sched/vanilla.py for the
-        #: encoding and the refresh discipline).  Like ``run_list``,
-        #: this is policy-owned state living on the task struct.
-        self.rq_weight = 0
         self.has_cpu = False
         self.processor = -1  # never ran anywhere yet
 

@@ -24,61 +24,54 @@ the O(n)-per-entry, redundant-recalculation design the ELSC scheduler
 replaces.
 
 Two queue layouts implement the same semantics (``impl=`` selects one;
-``tests/bench/test_runqueue_identity.py`` pins them bit-identical):
+``tests/sched/test_vanilla_argmax.py`` and
+``tests/bench/test_runqueue_identity.py`` pin them bit-identical):
 
 ``array`` (default)
-    a contiguous Python list of task references with the queue *front
-    at the end*, so the front-insert wakeup path is an O(1) C-level
-    ``append`` and the scan is a C-level ``reversed()`` iteration over
-    an object array — no pointer chasing through per-task
-    ``ListHead`` nodes.  (A mirrored int-array/freelist layout was
-    measured *slower* under CPython — see docs/performance.md — because
-    index indirection re-introduces a Python-level load per element;
-    the contiguous object array is what actually wins.)  The
-    ``run_list`` sentinel pointers are still maintained so the kernel's
-    ``on_runqueue()``/``in_a_list()`` conventions hold unchanged.
+    The simulator must *charge* the O(n) scan — ``examined`` and the
+    cycles billed for it — but it need not *pay* for it as a Python
+    loop.  The queue is a front-first ``list[Task]``, and for each CPU
+    ``c`` two int rows run parallel to it:
 
-    The array scan additionally reads a **cached goodness weight**
-    (``task.rq_weight``) instead of recomputing
-    ``counter + priority + bonuses`` from five task fields per element.
-    The cache is sound because a *queued, non-running* task's
-    scheduling parameters cannot change: ticks only decrement the
-    counter of a task that is some CPU's ``current`` (skipped by the
-    scan via ``has_cpu``, refreshed when it next appears as ``prev``),
-    recalculation rewrites every counter (refreshed in the
-    :meth:`recalculate_counters` override), and the parameter syscalls
-    requeue through ``del``/``add`` (refreshed on insert).  Encoding::
+    ``rows[c][i]``
+        goodness of queued task ``i`` on CPU ``c`` without the mm
+        bonus: ``1000 + rt_priority`` for a real-time task, 0 for an
+        exhausted quantum, otherwise ``counter + priority`` with the +15
+        affinity bonus pre-added in the row of the task's ``processor``;
+    ``keys[c][i]``
+        ``rows[c][i] << 20 | slot``, where ``slot`` numbers the task's
+        address space from 1 (0 for no mm, and for the real-time and
+        exhausted tasks that earn no mm bonus).
 
-        0                      counter == 0 (quantum exhausted)
-        > 0                    counter + priority [+ 15 on a 1-CPU
-                               machine when processor == 0]
-        -(1000 + rt_priority)  real-time task (negated so the zero /
-                               positive tests above stay single-branch)
+    A pick on CPU ``c`` for a caller whose mm has slot ``s`` is then a
+    few C-level builtin calls (:func:`_argmax`): ``m = max(row)``; the
+    front-most key ``m << 20 | s`` is an mm-bonus winner at ``m + 1``;
+    failing that, the winner is the earlier of ``row.index(m)`` and a key
+    ``(m - 1) << 20 | s`` in front of it.  That is ``goodness()``'s argmax
+    under the front-of-queue tie rule, exactly.
 
-    On a single-CPU machine the querying CPU is always 0, so the
-    processor-affinity bonus folds into the cache and the hot loop is
-    three attribute loads per element (``has_cpu``, ``rq_weight``,
-    ``mm``).
+    The rows are sound because a waiting task's ``counter + priority``
+    does not change (paper section 3.3.1), and neither does its
+    ``processor``: ticks and dispatch touch only running tasks,
+    recalculation rebuilds every row, and the parameter syscalls requeue
+    through ``del``/``add``.  A running task's entries do go stale, so
+    for the length of a call the scan **masks** (writes -1 over) the
+    entries of every queued task some CPU is running — each
+    ``cpu.current`` with ``has_cpu`` set, ``prev`` included — and puts
+    them back on the way out.  ``prev``'s entries are rewritten from its
+    live fields then, in every CPU's rows, since ``prev`` is the task
+    that just stopped running here.  ``examined`` is then
+    ``len(queue) - masked`` (+1 for an eligible ``prev``), exact on every
+    host because there ``has_cpu`` means "is some CPU's current".  A
+    winner that still has ``has_cpu`` set (tests set it by hand) is
+    masked and the search repeats: the lazy skip the other policies use.
 
-    On SMP the same fold applies **per CPU** (``smp_fold=True``, the
-    default): the queue keeps one parallel weight array per CPU, with
-    the +15 affinity bonus pre-added in the row of the task's
-    ``processor``, so the scan for CPU ``c`` reads ``zip(reversed(q),
-    reversed(w[c]))`` and the per-element ``task.processor == this_cpu``
-    re-test disappears from the hot loop (the ROADMAP hot-path
-    follow-on; the ``smp-weights`` BenchPair pins the win and
-    ``smp_fold=False`` keeps the dynamic re-test alive as its
-    before-side).  Soundness is the same argument as ``rq_weight``:
-    a queued, non-running task's ``processor`` (and counter) cannot
-    change — it moves only when the task is dispatched, at which point
-    ``has_cpu`` hides it from every scan until it reappears as
-    ``prev``, whose row is refreshed at schedule() entry.
+    The ``run_list`` sentinel pointers are still maintained so the
+    kernel's ``on_runqueue()``/``in_a_list()`` conventions hold.
 
 ``list``
-    the historical circular doubly-linked ``ListHead`` walk computing
-    goodness from the live task fields each scan, kept as the
-    before-side of the BENCH before/after pair and as a behavioural
-    cross-check.
+    the literal reference: the kernel's circular doubly-linked
+    ``ListHead`` walk, evaluating ``goodness()`` from live task fields.
 """
 
 from __future__ import annotations
@@ -86,6 +79,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..kernel.listops import ListHead
+from ..kernel.params import MM_BONUS, PROC_CHANGE_PENALTY, RT_GOODNESS_BASE
 from ..kernel.task import SchedPolicy, Task
 from .base import SchedDecision, Scheduler
 from .goodness import goodness
@@ -93,6 +87,7 @@ from .registry import register_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.cpu import CPU
+    from ..kernel.mm import MMStruct
 
 __all__ = ["VanillaScheduler"]
 
@@ -101,6 +96,50 @@ __all__ = ["VanillaScheduler"]
 #: some counter); this exists to turn a simulator bug into a loud error
 #: instead of a hang.
 _MAX_REPEATS = 64
+
+#: Enum members bound once: a class attribute load on an Enum costs
+#: several times a global load, and these are read on every call.
+_OTHER = SchedPolicy.SCHED_OTHER
+_RR = SchedPolicy.SCHED_RR
+
+#: Key bits below the weight: the mm slot.
+_SLOT_BITS = 20
+#: Row and key value of a masked entry.  Below every weight, and never a
+#: searched key: searches run only for ``m > 0``, so their keys are >= 1.
+_MASKED = -1
+
+
+def _argmax(row: list[int], keys: list[int], slot: int) -> tuple[int, int]:
+    """``(index, goodness)`` of the first-seen best entry; ``(-1, -1)``
+    when every entry is masked.
+
+    Goodness is ``row[i]``, plus the +1 mm bonus where ``keys[i]``
+    carries ``slot`` (the searches below rely on the bonus being 1).
+    Sentinels keep the misses allocation- and exception-free: the bonus
+    search past ``i`` ends on an appended ``hi``, and the search in
+    front of ``i`` ends on ``lo`` written over ``keys[i]``.
+    """
+    m = max(row) if row else _MASKED
+    if m < 0:
+        return -1, -1
+    i = row.index(m)
+    if slot and m:
+        hi = m << _SLOT_BITS | slot
+        if keys[i] == hi:
+            return i, m + 1
+        keys.append(hi)
+        j = keys.index(hi, i + 1)
+        keys.pop()
+        if j < len(row):
+            return j, m + 1
+        if i:
+            lo = (m - 1) << _SLOT_BITS | slot
+            key = keys[i]
+            keys[i] = lo
+            j = keys.index(lo)
+            keys[i] = key
+            return j, m
+    return i, m
 
 
 @register_scheduler(
@@ -113,72 +152,73 @@ class VanillaScheduler(Scheduler):
 
     name = "reg"
 
-    def __init__(self, impl: str = "array", smp_fold: bool = True) -> None:
+    def __init__(self, impl: str = "array") -> None:
         super().__init__()
         if impl not in ("array", "list"):
             raise ValueError(f"impl must be array|list, got {impl!r}")
         self.impl = impl
         self._array = impl == "array"
-        #: Whether the SMP scan uses per-CPU pre-folded weight arrays
-        #: (False keeps the per-element processor re-test as the bench
-        #: baseline).
-        self.smp_fold = smp_fold
-        #: array impl: queue front at the END (append == front insert).
+        #: array impl: the queue, front first.
         self._q: list[Task] = []
+        #: array impl: ``(cpu_id, row, keys)`` per CPU (module docstring).
+        self._lanes: list[tuple[int, list[int], list[int]]] = []
+        #: array impl: address space -> key slot (from 1; 0 is no mm).
+        self._slots: dict["MMStruct", int] = {}
+        #: array impl: per CPU, the other CPUs (whose currents it masks).
+        self._peers: list[list["CPU"]] = []
         #: list impl: circular doubly-linked queue head.
         self._head = ListHead()
         self._len = 0
-        #: True once bound to a 1-CPU machine: the +15 affinity bonus is
-        #: then folded into ``rq_weight`` (the querying CPU is always 0).
-        self._fold_proc = False
-        #: True once bound to an SMP machine with ``smp_fold``: the
-        #: bonus is folded per CPU into the :attr:`_w` rows instead.
-        self._smp_fold = False
-        #: smp_fold: one weight array per CPU, parallel to ``_q``.
-        self._w: list[list[int]] = []
 
     def reset(self) -> None:
         super().reset()
+        cpus = [] if self.machine is None else list(self.machine.cpus)
+        ncpus = max(1, len(cpus))
+        self._peers = [[p for p in cpus if p is not cpu] for cpu in cpus]
         self._q = []
+        self._lanes = [(c, [], []) for c in range(ncpus)]
+        self._slots = {}
         self._head = ListHead()
         self._len = 0
-        machine = self.machine
-        ncpus = 1 if machine is None else len(machine.cpus)
-        self._fold_proc = machine is not None and ncpus == 1
-        self._smp_fold = self._array and self.smp_fold and ncpus > 1
-        self._w = [[] for _ in range(ncpus)] if self._smp_fold else []
 
-    def _refresh_weight(self, task: Task) -> None:
-        """Recompute ``task.rq_weight`` from its live scheduling fields."""
-        if task.policy is SchedPolicy.SCHED_OTHER:
+    # -- array impl: the per-CPU rows -----------------------------------------
+
+    def _encode(self, task: Task) -> tuple[int, int, int]:
+        """``(weight, processor, slot)``: ``task``'s row entry is
+        ``weight``, +15 on CPU ``processor``; its key adds ``slot``."""
+        if task.policy is _OTHER:
             counter = task.counter
             if counter:
-                weight = counter + task.priority
-                if self._fold_proc and task.processor == 0:
-                    weight += 15
-                task.rq_weight = weight
-            else:
-                task.rq_weight = 0
-        else:
-            task.rq_weight = -1000 - task.rt_priority
+                mm = task.mm
+                slot = 0 if mm is None else self._slots.get(mm) or self._new_slot(mm)
+                return counter + task.priority, task.processor, slot
+            return 0, -1, 0
+        return RT_GOODNESS_BASE + task.rt_priority, -1, 0
 
-    def _refresh_row(self, task: Task, i: int) -> None:
-        """smp_fold: recompute ``task``'s per-CPU folded weights at
-        queue index ``i`` (affinity bonus pre-added in its CPU's row)."""
-        if task.policy is SchedPolicy.SCHED_OTHER:
-            counter = task.counter
-            if counter:
-                base = counter + task.priority
-                proc = task.processor
-                for c, wc in enumerate(self._w):
-                    wc[i] = base + 15 if c == proc else base
-            else:
-                for wc in self._w:
-                    wc[i] = 0
-        else:
-            weight = -1000 - task.rt_priority
-            for wc in self._w:
-                wc[i] = weight
+    def _new_slot(self, mm: "MMStruct") -> int:
+        slot = len(self._slots) + 1
+        if slot >> _SLOT_BITS:
+            raise OverflowError(
+                f"more than {(1 << _SLOT_BITS) - 1} address spaces on one run queue"
+            )
+        self._slots[mm] = slot
+        return slot
+
+    def _put(self, task: Task, i: int) -> None:
+        """Rewrite ``task``'s entries at index ``i`` of every row."""
+        weight, proc, slot = self._encode(task)
+        for c, row, keys in self._lanes:
+            w = weight + PROC_CHANGE_PENALTY if c == proc else weight
+            row[i] = w
+            keys[i] = w << _SLOT_BITS | slot
+
+    def _move(self, task: Task, to: int) -> None:
+        q = self._q
+        i = q.index(task)
+        q.insert(to, q.pop(i))
+        for _, row, keys in self._lanes:
+            row.insert(to, row.pop(i))
+            keys.insert(to, keys.pop(i))
 
     # -- run-queue manipulation (paper section 3.2) ---------------------------
 
@@ -187,12 +227,12 @@ class VanillaScheduler(Scheduler):
         if task.on_runqueue():
             raise RuntimeError(f"{task.name} is already on the run queue")
         if self._array:
-            self._refresh_weight(task)
-            self._q.append(task)
-            if self._smp_fold:
-                for wc in self._w:
-                    wc.append(0)
-                self._refresh_row(task, len(self._q) - 1)
+            self._q.insert(0, task)
+            weight, proc, slot = self._encode(task)
+            for c, row, keys in self._lanes:
+                w = weight + PROC_CHANGE_PENALTY if c == proc else weight
+                row.insert(0, w)
+                keys.insert(0, w << _SLOT_BITS | slot)
             # Self-loop sentinel: "on the run queue, in a list" for the
             # kernel's pointer conventions, without a linked structure.
             node = task.run_list
@@ -209,13 +249,11 @@ class VanillaScheduler(Scheduler):
         if not task.on_runqueue():
             return 0
         if self._array:
-            if self._smp_fold:
-                i = self._q.index(task)
-                del self._q[i]
-                for wc in self._w:
-                    del wc[i]
-            else:
-                self._q.remove(task)
+            i = self._q.index(task)
+            del self._q[i]
+            for _, row, keys in self._lanes:
+                del row[i]
+                del keys[i]
         else:
             task.run_list.del_()
         task.run_list.next = None
@@ -228,15 +266,7 @@ class VanillaScheduler(Scheduler):
         if not task.in_a_list():
             return
         if self._array:
-            q = self._q
-            if self._smp_fold:
-                i = q.index(task)
-                q.append(q.pop(i))
-                for wc in self._w:
-                    wc.append(wc.pop(i))
-            else:
-                q.remove(task)
-                q.append(task)
+            self._move(task, 0)
         else:
             task.run_list.move(self._head)
 
@@ -244,15 +274,7 @@ class VanillaScheduler(Scheduler):
         if not task.in_a_list():
             return
         if self._array:
-            q = self._q
-            if self._smp_fold:
-                i = q.index(task)
-                q.insert(0, q.pop(i))
-                for wc in self._w:
-                    wc.insert(0, wc.pop(i))
-            else:
-                q.remove(task)
-                q.insert(0, task)
+            self._move(task, len(self._q))
         else:
             task.run_list.move_tail(self._head)
 
@@ -271,7 +293,7 @@ class VanillaScheduler(Scheduler):
         # to the back of the line before the scan.
         if (
             prev is not idle
-            and prev.policy is SchedPolicy.SCHED_RR
+            and prev.policy is _RR
             and prev.counter == 0
             and prev.is_runnable()
         ):
@@ -283,15 +305,28 @@ class VanillaScheduler(Scheduler):
             cost += self.del_from_runqueue(prev)
 
         prev_eligible = prev is not idle and prev.is_runnable()
+        this_cpu = cpu.cpu_id
+        this_mm = prev.mm
         array = self._array
-        if array and prev is not idle and prev.on_runqueue():
-            # prev's counter ticked down (and its processor moved) while
-            # it ran; this entry is the first scan that can see it as a
-            # non-running task again, so bring its cached weight current.
-            self._refresh_weight(prev)
-            if self._smp_fold:
-                self._refresh_row(prev, self._q.index(prev))
-        other = SchedPolicy.SCHED_OTHER
+        if array:
+            q = self._q
+            _, row, keys = self._lanes[this_cpu]
+            slot = self._slots.get(this_mm, 0)
+            # For this call, mask every queued task some CPU is running:
+            # its entries went stale while it ran (see module docstring).
+            # Other CPUs' entries are restored as saved in ``hidden``.
+            hidden = []
+            for peer in self._peers[this_cpu]:
+                cur = peer.current
+                if cur.has_cpu and cur.run_list.next is not None:
+                    i = q.index(cur)
+                    hidden.append((i, row[i], keys[i]))
+                    row[i] = keys[i] = _MASKED
+            prev_i = -1
+            if prev.has_cpu and prev.run_list.next is not None:
+                prev_i = q.index(prev)
+                row[prev_i] = keys[prev_i] = _MASKED
+            visible = len(q) - len(hidden) - (prev_i >= 0)
 
         for _round in range(_MAX_REPEATS):
             c = -1000
@@ -305,93 +340,20 @@ class VanillaScheduler(Scheduler):
                     prev.yield_pending = False
                     c = 0
                 else:
-                    c = goodness(prev, cpu.cpu_id, prev.mm)
+                    c = goodness(prev, this_cpu, this_mm)
                 next_task = prev
                 examined += 1
-            # The scan is the hot path of the whole simulation (it runs
-            # once per schedule() entry over every queued task), so
-            # goodness() is inlined here; test_goodness_inline_matches
-            # pins the two implementations together.
-            this_cpu = cpu.cpu_id
-            this_mm = prev.mm
             if array:
-                # Front-to-back == reversed(contiguous array).  Several
-                # loop bodies instead of one so the per-element work is
-                # exactly the loads the variant needs: rq_weight already
-                # encodes counter/priority/policy (and, with
-                # _fold_proc, the affinity bonus) — see module docstring.
-                q = self._q
-                if self._smp_fold:
-                    # SMP with per-CPU pre-folded weights: the affinity
-                    # bonus lives in this CPU's row, so the loop never
-                    # touches task.processor (or counter/priority).
-                    wq = self._w[this_cpu]
-                    if this_mm is None:
-                        for task, weight in zip(reversed(q), reversed(wq)):
-                            if task.has_cpu:
-                                continue
-                            examined += 1
-                            if weight < 0:
-                                weight = -weight
-                            if weight > c:
-                                c = weight
-                                next_task = task
-                    else:
-                        for task, weight in zip(reversed(q), reversed(wq)):
-                            if task.has_cpu:
-                                continue
-                            examined += 1
-                            if weight > 0:
-                                if task.mm is this_mm:
-                                    weight += 1
-                            elif weight < 0:
-                                weight = -weight
-                            if weight > c:
-                                c = weight
-                                next_task = task
-                elif not self._fold_proc:
-                    # SMP: the querying CPU varies, keep the processor
-                    # test dynamic.
-                    for task in reversed(q):
-                        if task.has_cpu:
-                            continue  # running somewhere (prev included)
-                        examined += 1
-                        weight = task.rq_weight
-                        if weight > 0:
-                            if task.mm is this_mm and this_mm is not None:
-                                weight += 1
-                            if task.processor == this_cpu:
-                                weight += 15
-                        elif weight < 0:
-                            weight = -weight  # real-time: 1000 + rt_priority
-                        if weight > c:
-                            c = weight
-                            next_task = task
-                elif this_mm is None:
-                    for task in reversed(q):
-                        if task.has_cpu:
-                            continue
-                        examined += 1
-                        weight = task.rq_weight
-                        if weight < 0:
-                            weight = -weight
-                        if weight > c:
-                            c = weight
-                            next_task = task
-                else:
-                    for task in reversed(q):
-                        if task.has_cpu:
-                            continue
-                        examined += 1
-                        weight = task.rq_weight
-                        if weight > 0:
-                            if task.mm is this_mm:
-                                weight += 1
-                        elif weight < 0:
-                            weight = -weight
-                        if weight > c:
-                            c = weight
-                            next_task = task
+                i, weight = _argmax(row, keys, slot)
+                while i >= 0 and q[i].has_cpu:
+                    hidden.append((i, row[i], keys[i]))
+                    row[i] = keys[i] = _MASKED
+                    visible -= 1
+                    i, weight = _argmax(row, keys, slot)
+                examined += visible
+                if i >= 0 and weight > c:
+                    c = weight
+                    next_task = q[i]
             else:
                 head = self._head
                 node = head.next
@@ -399,20 +361,20 @@ class VanillaScheduler(Scheduler):
                     task = node.owner
                     node = node.next
                     if task.has_cpu:
-                        continue
+                        continue  # running somewhere (prev included)
                     examined += 1
-                    if task.policy is other:
+                    if task.policy is _OTHER:
                         counter = task.counter
                         if counter == 0:
                             weight = 0
                         else:
                             weight = counter + task.priority
                             if task.mm is this_mm and this_mm is not None:
-                                weight += 1
+                                weight += MM_BONUS
                             if task.processor == this_cpu:
-                                weight += 15
+                                weight += PROC_CHANGE_PENALTY
                     else:
-                        weight = 1000 + task.rt_priority
+                        weight = RT_GOODNESS_BASE + task.rt_priority
                     if weight > c:
                         c = weight
                         next_task = task
@@ -425,9 +387,24 @@ class VanillaScheduler(Scheduler):
             cost += recalc_charge
             recalc_cycles += recalc_charge
             recalcs += 1
+            if array:
+                # The rebuild rewrote the masked entries: save and mask again.
+                hidden = [(i, row[i], keys[i]) for i, _, _ in hidden]
+                for i, _, _ in hidden:
+                    row[i] = keys[i] = _MASKED
+                if prev_i >= 0:
+                    row[prev_i] = keys[prev_i] = _MASKED
         else:
             raise RuntimeError("vanilla scheduler failed to converge")
 
+        if array:
+            for i, weight, key in hidden:
+                row[i] = weight
+                keys[i] = key
+            if prev_i >= 0:
+                # prev's counter ticked down (and its processor moved)
+                # while it ran: rewrite its entries from live fields.
+                self._put(prev, prev_i)
         cost += self.cost.vanilla_schedule_cost(examined_total)
         self.stats.tasks_examined += examined_total
         self.stats.scheduler_cycles += cost
@@ -441,21 +418,16 @@ class VanillaScheduler(Scheduler):
         )
 
     def recalculate_counters(self) -> int:
-        """Recalculate, then bring every queued task's cached weight current.
+        """Recalculate, then rebuild every row from the new counters.
 
-        The refresh is simulator bookkeeping, not simulated work: the
+        The rebuild is simulator bookkeeping, not simulated work: the
         cycle charge is the inherited recalc cost, identical for both
         queue layouts (the bit-identity suites depend on that).
         """
         charge = super().recalculate_counters()
         if self._array:
-            refresh = self._refresh_weight
-            for task in self._q:
-                refresh(task)
-            if self._smp_fold:
-                refresh_row = self._refresh_row
-                for i, task in enumerate(self._q):
-                    refresh_row(task, i)
+            for i, task in enumerate(self._q):
+                self._put(task, i)
         return charge
 
     # -- introspection --------------------------------------------------------
@@ -465,5 +437,5 @@ class VanillaScheduler(Scheduler):
 
     def runqueue_tasks(self) -> list[Task]:
         if self._array:
-            return list(reversed(self._q))
+            return list(self._q)
         return [node.owner for node in self._head]

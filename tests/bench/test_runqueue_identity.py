@@ -1,7 +1,7 @@
 """Bit-identity of the array-backed run queues against the legacy lists.
 
-The hot-path work (sched/vanilla.py ``impl="array"`` with its cached
-``rq_weight``, core/table.py :class:`ELSCRunqueueTable`) is *pure
+The hot-path work (sched/vanilla.py ``impl="array"`` with its per-CPU
+goodness rows, core/table.py :class:`ELSCRunqueueTable`) is *pure
 mechanism*: the BENCH before/after pairs are only honest if the two
 sides of each pair compute exactly the same schedule.  These tests run
 full workloads through both layouts and require every SchedStats

@@ -53,7 +53,11 @@ def test_sigkilled_worker_is_retried(tmp_path):
     assert events[0]["backoff_s"] > 0
     assert events[0]["reasons"] == ["worker died (BrokenProcessPool)"]
     assert all(c["outcome"] == "ok" for c in cells)
-    assert all(c["attempts"] == 2 for c in cells)
+    # The killed cell is retried; the sibling cell is too, unless it
+    # finished before the pool broke and so kept its first result.
+    retried = set(events[0]["keys"])
+    assert retried
+    assert all(c.get("attempts", 1) == (2 if c["key"] in retried else 1) for c in cells)
 
 
 def test_deterministic_error_is_not_retried_and_raises(tmp_path):

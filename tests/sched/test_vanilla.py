@@ -130,13 +130,11 @@ class TestSelection:
         sibling = Task(name="sibling", mm=mm)
         attach(machine, sibling)
         sched.add_to_runqueue(sibling)
-        # stranger was queued first; sibling's +1 mm bonus must beat the
-        # front-of-list tie rule... and prev itself (equal static, no
-        # bonus counted for prev? prev gets its own goodness with mm match
-        # = +1 too, and ties keep prev).
+        # stranger was queued first; sibling's +1 mm bonus beats it, but
+        # prev earns the same +1 for its own mm, and a scanned task must
+        # strictly beat prev: the exact tie keeps prev.
         decision = sched.schedule(prev, cpu)
-        assert decision.next_task in (prev, sibling)
-        assert decision.next_task is not stranger
+        assert decision.next_task is prev
 
 
 class TestRecalculation:
