@@ -21,6 +21,7 @@ import argparse
 
 from repro import ELSCScheduler, Machine, Tracer, VanillaScheduler
 from repro.analysis.timeline import TimelineSampler
+from repro.obs import TracerProbe
 from repro.workloads.volanomark import VolanoConfig, VolanoMark
 
 SCHEDULERS = {"reg": VanillaScheduler, "elsc": ELSCScheduler}
@@ -35,7 +36,7 @@ def main() -> None:
     args = parser.parse_args()
 
     machine = Machine(SCHEDULERS[args.scheduler](), num_cpus=1, smp=False)
-    tracer = machine.attach_tracer(Tracer(capacity=50_000))
+    tracer = machine.attach(TracerProbe(Tracer(capacity=50_000))).tracer
     sampler = TimelineSampler(machine, period_s=0.01)
     bench = VolanoMark(
         VolanoConfig(rooms=args.rooms, messages_per_user=args.messages)

@@ -11,72 +11,216 @@ Usage (also available as the ``elsc-repro`` console script)::
     python -m repro schedstat --scheduler elsc --spec 1P --rooms 10
     python -m repro profile --workload volanomark --sched vanilla,multiqueue
 
-The sweep-shaped commands (``figure3``, ``figure4``, ``report``,
-``sweep``) run through the parallel experiment harness: independent
-cells fan out across a process pool (``--jobs``, default one worker per
-CPU) and completed cells land in a content-addressed cache under
+Every run-style command turns its flags into
+:class:`~repro.scenario.ScenarioSpec` cells in one place
+(:func:`_scenario`) and runs them through one runner
+(:func:`~repro.scenario.run_scenarios`); ``chaos`` and ``schedstat``,
+which read the raw simulation, and the ``cluster`` commands build their
+configs from the same specs.  The commands with ``--jobs`` and cache
+flags (``figure3``, ``figure4``, ``sweep``, ``metrics``, ``loadtest``,
+``scenario run``) hand them to the runner: independent cells fan out
+across a process pool (``--jobs``, default one worker per CPU) and
+completed cells land in a content-addressed cache under
 ``results/cache/``, so re-running a sweep — even the full ``--paper``
-grid — only computes missing cells.  See ``docs/harness.md``.
+grid — only computes missing cells.  The others run in-process and
+uncached.  See ``docs/harness.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .analysis.metrics import Series
 from .analysis.tables import format_figure, format_kv, format_minutes, format_table
 from .cli_common import (
     machine_vocab,
+    resolve_machine_list,
     resolve_scheduler_arg,
     resolve_scheduler_list,
     resolve_workload_arg,
     scheduler_vocab,
     workload_vocab,
 )
-from .harness import (
-    MACHINE_SPECS,
-    SCHEDULER_ALIASES,
-    SCHEDULERS,
-    WORKLOADS,
-    CellResult,
-    ParallelRunner,
-    ResultCache,
-    RunSpec,
-)
+from .harness import MACHINE_SPECS, SCHEDULERS, WORKLOADS, CellResult, ResultCache
 from .harness.cache import DEFAULT_CACHE_DIR
 from .harness.runner import (
     DEFAULT_MANIFEST_PATH,
     DEFAULT_PROFILE_TICKS,
-    execute_spec,
+    default_jobs,
 )
-from .workloads.kernbench import KernbenchConfig, run_kernbench
-from .workloads.volanomark import VolanoConfig, run_volanomark
-from .workloads.volanoselect import run_select_chat
-from .workloads.webserver import WebServerConfig, run_webserver
+from .scenario import PROBE_KINDS, ScenarioSpec, run_scenarios
+from .workloads.volanomark import VolanoConfig
 
 #: Canonical name → factory/spec registries (shared with the harness).
 SPECS = MACHINE_SPECS
 
+_VOLANO_FLAGS = {
+    "rooms": "rooms",
+    "messages": "messages_per_user",
+    "users": "users_per_room",
+    "seed": "seed",
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+#: Workload flag (argparse ``dest``) → config field, per workload: the
+#: one place a command-line flag becomes part of a cell.  A command
+#: maps the flags its parser defines and ignores the rest.
+_FLAG_FIELDS: dict[str, dict[str, str]] = {
+    "volano": _VOLANO_FLAGS,
+    "select-chat": _VOLANO_FLAGS,
+    "kernbench": {"files": "files", "make_jobs": "jobs", "seed": "seed"},
+    "webserver": {"clients": "clients", "workers": "workers", "seed": "seed"},
+    "serve": {
+        "rooms": "rooms",
+        "clients": "clients_per_room",
+        "messages": "messages_per_client",
+        "interval_ms": "message_interval_ms",
+        "duration": "duration_s",
+        "batch": "batch",
+        "max_pending": "max_pending",
+        "seed": "seed",
+        "deadline_ms": "request_deadline_ms",
+    },
+}
+
+
+def _scenario(
+    args: argparse.Namespace,
+    workload: str,
+    scheduler: str,
+    machine: str,
+    probes: Sequence[str] = (),
+    **flags,
+) -> ScenarioSpec:
+    """The cell a command's flags describe.
+
+    ``flags`` supply or override flag values by ``dest`` (a sweep
+    cell's ``rooms=``, chaos's ``fault_plan=``).  ``--paper`` pins the
+    paper's VolanoMark parameters over ``--messages``; ``--fault-plan``
+    and ``--load-schedule`` become the scenario's own fields; and
+    ``--profile``/``--metrics`` add their probes to ``probes``.
+    """
+    values = {**vars(args), **flags}
+    config = {
+        field: values[flag]
+        for flag, field in _FLAG_FIELDS[workload].items()
+        if flag in values
+    }
+    if values.get("paper"):
+        paper = VolanoConfig.paper()
+        config["users_per_room"] = paper.users_per_room
+        config["messages_per_user"] = paper.messages_per_user
+    try:
+        return ScenarioSpec(
+            name=args.command,
+            workload=workload,
+            scheduler=scheduler,
+            machine=machine,
+            config=config,
+            fault_plan=values.get("fault_plan"),
+            probes=[*probes, *(p for p in PROBE_KINDS if values.get(p))],
+            load=values.get("load_schedule"),
+        )
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{args.command}: {exc}")
+
+
+def _run(
+    args: argparse.Namespace, scenarios: Sequence[ScenarioSpec], progress=None
+) -> list[CellResult]:
+    """Run ``scenarios`` through the harness, results in input order.
+
+    Commands with ``--jobs`` and cache flags get the pool, cache and
+    manifest they ask for; the others run in-process and uncached.
+    """
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 0:
+        raise SystemExit(f"--jobs must be >= 0 (0 = auto), got {jobs}")
+    cache = None if getattr(args, "no_cache", True) else ResultCache(args.cache_dir)
+    return run_scenarios(
+        scenarios,
+        jobs=jobs,
+        cache=cache,
+        manifest_path=getattr(args, "manifest", "") or None,
+        progress=progress,
+        profile_ticks=getattr(args, "ticks", DEFAULT_PROFILE_TICKS),
+    )
+
+
+def _write(args: argparse.Namespace, path: str, text: str, what: str) -> None:
+    """Write ``text`` to ``path``; ``-`` is stdout."""
+    if path == "-":
+        args.stdout.write(text)
+        return
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"({what} written to {path})", file=sys.stderr)
+
+
+def _write_json(args: argparse.Namespace, payload: dict, what: str) -> None:
+    """The ``--json`` writer of every command (``-`` = stdout; :func:`main`
+    then sends the tables to stderr)."""
+    _write(args, args.json, json.dumps(payload, indent=1, sort_keys=True) + "\n", what)
+
+
+def _add_common(
+    parser: argparse.ArgumentParser, scheduler: str = "elsc", spec: str = "UP"
+) -> None:
     parser.add_argument(
         "--scheduler",
-        type=resolve_scheduler_arg,
-        choices=sorted(SCHEDULERS),
-        default="elsc",
-        help="scheduling policy to simulate (aliases accepted: %s)"
-        % ", ".join(sorted(SCHEDULER_ALIASES)),
+        choices=scheduler_vocab(),
+        default=scheduler,
+        help="scheduling policy (canonical name or alias)",
     )
     parser.add_argument(
         "--spec",
-        choices=list(SPECS),
-        default="UP",
+        choices=machine_vocab(),
+        default=spec,
         help="machine configuration (UP = non-SMP build)",
     )
+
+
+#: Help for the flags of :func:`_add_flags`, by ``dest``.
+_FLAG_HELP = {
+    "paper": "the paper's VolanoMark parameters (overrides --messages)",
+    "profile": "attach the cycle-attribution profiler and print its tables",
+    "metrics": "attach the MetricsProbe and print its counters",
+    "rooms": "chat rooms",
+    "messages": "messages per user (serve: per client)",
+    "users": "users per chat room",
+    "files": "kernbench files",
+    "clients": "webserver clients (serve: clients per room)",
+    "workers": "webserver workers",
+    "interval_ms": "open-loop arrival period per client",
+    "duration": "hard deadline of a serve run, seconds",
+    "deadline_ms": "per-request deadline; queued past it is answered 'expired'",
+    "fault_plan": "run under a fault plan: named, inline JSON, or @file",
+    "load_schedule": "phased offered load: canonical LoadSchedule JSON "
+    "(replaces --messages/--interval-ms pacing)",
+    "json": "also write the report as JSON here ('-' = stdout, tables to stderr)",
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Add the flags commands share (those :func:`_scenario` reads, and
+    ``--json``), by ``dest``, at ``defaults``; ``False`` makes a switch."""
+    for dest, default in defaults.items():
+        kind = {"action": "store_true"} if default is False else {"type": type(default)}
+        parser.add_argument(
+            "--" + dest.replace("_", "-"),
+            default=default,
+            help=_FLAG_HELP.get(dest),
+            **kind,
+        )
 
 
 def _add_harness_args(parser: argparse.ArgumentParser) -> None:
@@ -103,68 +247,67 @@ def _add_harness_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _runner_from_args(args: argparse.Namespace, progress=None) -> ParallelRunner:
-    if args.jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0 (0 = auto), got {args.jobs}")
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return ParallelRunner(
-        jobs=args.jobs,
-        cache=cache,
-        manifest_path=args.manifest or None,
-        progress=progress,
-        profile=getattr(args, "profile", False),
-        metrics=getattr(args, "metrics", False),
-    )
+#: The single-cell commands, by workload: the title and the rows each
+#: prints from the cell's metrics ``m``, SchedStats ``s`` and config ``c``.
+_CELL_REPORTS = {
+    "volano": (
+        "VolanoMark — {sched}/{machine}, {c.rooms} rooms",
+        lambda m, s, c: [
+            ("threads", c.threads),
+            ("messages delivered", m["messages_delivered"]),
+            ("elapsed (virtual s)", f"{m['elapsed_seconds']:.3f}"),
+            ("throughput (msg/s)", f"{m['throughput']:.0f}"),
+            ("schedule() calls", s.schedule_calls),
+            ("tasks examined / call", f"{s.examined_per_schedule():.2f}"),
+            ("cycles / schedule()", f"{s.cycles_per_schedule():.0f}"),
+            ("recalculate entries", s.recalc_entries),
+            ("migrations", s.migrations),
+            ("scheduler fraction", f"{m['scheduler_fraction']:.3f}"),
+        ],
+    ),
+    "select-chat": (
+        "select()-server chat — {sched}/{machine}, {c.rooms} rooms",
+        lambda m, s, c: [
+            ("threads", m["threads"]),
+            ("messages delivered", m["messages_delivered"]),
+            ("throughput (msg/s)", f"{m['throughput']:.0f}"),
+            ("tasks examined / call", f"{s.examined_per_schedule():.2f}"),
+            ("scheduler fraction", f"{m['scheduler_fraction']:.3f}"),
+        ],
+    ),
+    "kernbench": (
+        "Kernel compile — {sched}/{machine}",
+        lambda m, s, c: [
+            ("files", c.files),
+            ("make -j", c.jobs),
+            ("time", format_minutes(m["elapsed_seconds"])),
+            ("scheduler fraction", f"{m['scheduler_fraction']:.5f}"),
+        ],
+    ),
+    "webserver": (
+        "Web server — {sched}/{machine}",
+        lambda m, s, c: [
+            ("workers", c.workers),
+            ("clients", c.clients),
+            ("throughput (req/s)", f"{m['throughput']:.0f}"),
+            ("mean latency", f"{m['mean_latency_seconds'] * 1e3:.2f} ms"),
+            ("p99 latency", f"{m['p99_latency_seconds'] * 1e3:.2f} ms"),
+            ("scheduler fraction", f"{m['scheduler_fraction']:.4f}"),
+        ],
+    ),
+}
 
 
-def _volano_config(args: argparse.Namespace) -> VolanoConfig:
-    if args.paper:
-        cfg = VolanoConfig.paper()
-        return cfg.with_rooms(args.rooms)
-    return VolanoConfig(rooms=args.rooms, messages_per_user=args.messages)
-
-
-def cmd_volano(args: argparse.Namespace) -> int:
-    result = run_volanomark(
-        SCHEDULERS[args.scheduler], SPECS[args.spec], _volano_config(args)
-    )
-    stats = result.sim.stats
+def cmd_cell(args: argparse.Namespace) -> int:
+    """One simulated cell of the command's workload, as a table."""
+    scenario = _scenario(args, args.command, args.scheduler, args.spec)
+    (cell,) = _run(args, [scenario])
+    title, rows = _CELL_REPORTS[scenario.workload]
+    config = scenario.to_run_spec().build_config()
     print(
         format_kv(
-            f"VolanoMark — {args.scheduler}/{args.spec}, {args.rooms} rooms",
-            [
-                ("threads", result.config.threads),
-                ("messages delivered", result.messages_delivered),
-                ("elapsed (virtual s)", f"{result.elapsed_seconds:.3f}"),
-                ("throughput (msg/s)", f"{result.throughput:.0f}"),
-                ("schedule() calls", stats.schedule_calls),
-                ("tasks examined / call", f"{stats.examined_per_schedule():.2f}"),
-                ("cycles / schedule()", f"{stats.cycles_per_schedule():.0f}"),
-                ("recalculate entries", stats.recalc_entries),
-                ("migrations", stats.migrations),
-                ("scheduler fraction", f"{result.scheduler_fraction:.3f}"),
-            ],
-        )
-    )
-    return 0
-
-
-def cmd_select_chat(args: argparse.Namespace) -> int:
-    result = run_select_chat(
-        SCHEDULERS[args.scheduler], SPECS[args.spec], _volano_config(args)
-    )
-    stats = result.sim.stats
-    print(
-        format_kv(
-            f"select()-server chat — {args.scheduler}/{args.spec}, "
-            f"{args.rooms} rooms",
-            [
-                ("threads", result.threads),
-                ("messages delivered", result.messages_delivered),
-                ("throughput (msg/s)", f"{result.throughput:.0f}"),
-                ("tasks examined / call", f"{stats.examined_per_schedule():.2f}"),
-                ("scheduler fraction", f"{result.scheduler_fraction:.3f}"),
-            ],
+            title.format(sched=scenario.scheduler, machine=scenario.machine, c=config),
+            rows(cell.metrics, cell.sched_stats(), config),
         )
     )
     return 0
@@ -187,64 +330,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             handle.write(text + "\n")
         print(f"(written to {args.output})", file=sys.stderr)
     return 0
-
-
-def cmd_kernbench(args: argparse.Namespace) -> int:
-    cfg = KernbenchConfig(files=args.files, jobs=args.jobs)
-    result = run_kernbench(SCHEDULERS[args.scheduler], SPECS[args.spec], cfg)
-    print(
-        format_kv(
-            f"Kernel compile — {args.scheduler}/{args.spec}",
-            [
-                ("files", cfg.files),
-                ("make -j", cfg.jobs),
-                ("time", result.minutes_str()),
-                ("scheduler fraction", f"{result.scheduler_fraction:.5f}"),
-            ],
-        )
-    )
-    return 0
-
-
-def cmd_webserver(args: argparse.Namespace) -> int:
-    cfg = WebServerConfig(workers=args.workers, clients=args.clients)
-    result = run_webserver(SCHEDULERS[args.scheduler], SPECS[args.spec], cfg)
-    print(
-        format_kv(
-            f"Web server — {args.scheduler}/{args.spec}",
-            [
-                ("workers", cfg.workers),
-                ("clients", cfg.clients),
-                ("throughput (req/s)", f"{result.throughput:.0f}"),
-                ("mean latency", f"{result.mean_latency_seconds * 1e3:.2f} ms"),
-                ("p99 latency", f"{result.p99_latency_seconds * 1e3:.2f} ms"),
-                ("scheduler fraction", f"{result.scheduler_fraction:.4f}"),
-            ],
-        )
-    )
-    return 0
-
-
-def _serve_overrides(args: argparse.Namespace) -> dict:
-    overrides = {
-        "rooms": args.rooms,
-        "clients_per_room": args.clients,
-        "messages_per_client": args.messages,
-        "message_interval_ms": args.interval_ms,
-        "duration_s": args.duration,
-        "batch": args.batch,
-        "max_pending": args.max_pending,
-        "seed": args.seed,
-    }
-    if getattr(args, "deadline_ms", 0.0):
-        overrides["request_deadline_ms"] = args.deadline_ms
-    if getattr(args, "fault_plan", ""):
-        from .faults import resolve_plan
-
-        # Resolve to canonical JSON so the cell key depends on the
-        # plan's *content*, not on the registry name it came from.
-        overrides["fault_plan"] = resolve_plan(args.fault_plan).to_config()
-    return overrides
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -293,19 +378,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
     """One end-to-end localhost loadtest, recorded as a harness cell."""
-    sched_name = resolve_scheduler_arg(args.scheduler)
-    spec = RunSpec("serve", sched_name, args.spec, _serve_overrides(args))
+    scenario = _scenario(args, "serve", args.scheduler, args.spec)
+    spec = scenario.to_run_spec()
     cached = [False]
 
-    def progress(s: RunSpec, cell: CellResult, hit: bool) -> None:
+    def progress(s: ScenarioSpec, cell: CellResult, hit: bool) -> None:
         cached[0] = hit
 
-    cell = _runner_from_args(args, progress=progress).run_one(spec)
+    (cell,) = _run(args, [scenario], progress)
     stats = cell.sched_stats()
     m = cell.metrics
     print(
         format_kv(
-            f"Live loadtest — {sched_name}/{args.spec}, "
+            f"Live loadtest — {scenario.scheduler}/{args.spec}, "
             f"{args.rooms} rooms × {args.clients} clients"
             + (" [cached]" if cached[0] else ""),
             [
@@ -344,12 +429,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         print()
         print(format_metrics(cell.metrics_probe().snapshot()))
     if args.json:
-        import json as _json
-        import os as _os
-
-        parent = _os.path.dirname(args.json)
-        if parent:
-            _os.makedirs(parent, exist_ok=True)
         payload = {
             "spec": spec.to_dict(),
             "key": spec.key,
@@ -361,34 +440,18 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             payload["profile"] = cell.profile
         if cell.metered:
             payload["obs_metrics"] = cell.obs_metrics
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"(metrics written to {args.json})", file=sys.stderr)
+        _write_json(args, payload, "metrics")
     return 0
-
-
-def _volano_cell_overrides(args: argparse.Namespace, rooms: int) -> dict:
-    if args.paper:
-        return asdict(VolanoConfig.paper().with_rooms(rooms))
-    return {"rooms": rooms, "messages_per_user": args.messages}
 
 
 def _figure3_series(args: argparse.Namespace, specs: Sequence[str]) -> list[Series]:
     rooms_axis = [int(r) for r in args.rooms_list.split(",")]
-    cells: list[RunSpec] = []
+    cells: list[ScenarioSpec] = []
     for sched_name in ("elsc", "reg"):
         for spec_name in specs:
             for rooms in rooms_axis:
-                cells.append(
-                    RunSpec(
-                        "volano",
-                        sched_name,
-                        spec_name,
-                        _volano_cell_overrides(args, rooms),
-                    )
-                )
-    results = _runner_from_args(args).run(cells)
+                cells.append(_scenario(args, "volano", sched_name, spec_name, rooms=rooms))
+    results = _run(args, cells)
     series: list[Series] = []
     index = 0
     for sched_name in ("elsc", "reg"):
@@ -435,85 +498,51 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Headline metric per workload for the sweep table.
-_SWEEP_METRICS: dict[str, tuple[str, str]] = {
-    "volano": ("throughput", "msg/s"),
-    "select-chat": ("throughput", "msg/s"),
-    "kernbench": ("elapsed_seconds", "time"),
-    "webserver": ("throughput", "req/s"),
+#: Per sweepable workload: the flag its axis sweeps, and the headline
+#: metric (and unit) of the sweep table.
+_SWEEP: dict[str, tuple[str, str, str]] = {
+    "volano": ("rooms", "throughput", "msg/s"),
+    "select-chat": ("rooms", "throughput", "msg/s"),
+    "kernbench": ("files", "elapsed_seconds", "time"),
+    "webserver": ("clients", "throughput", "req/s"),
 }
 
 
-def _sweep_cell(
-    args: argparse.Namespace,
-    sched_name: str,
-    spec_name: str,
-    x: int,
-    seed_shift: int,
-) -> RunSpec:
-    """Overrides for one sweep cell; ``x`` is the workload's swept axis."""
-    if args.workload in ("volano", "select-chat"):
-        overrides = {
-            "rooms": x,
-            "messages_per_user": args.messages,
-            "users_per_room": args.users,
-        }
-        base_seed = VolanoConfig.seed
-    elif args.workload == "kernbench":
-        overrides = {"files": x}
-        base_seed = KernbenchConfig.seed
-    else:
-        overrides = {"clients": x, "workers": args.workers}
-        base_seed = WebServerConfig.seed
-    if seed_shift:
-        overrides["seed"] = base_seed + seed_shift
-    return RunSpec(args.workload, sched_name, spec_name, overrides)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    schedulers = [s for s in args.schedulers.split(",") if s]
-    spec_names = [s for s in args.specs.split(",") if s]
-    axis_raw = {
-        "volano": args.rooms,
-        "select-chat": args.rooms,
-        "kernbench": args.files,
-        "webserver": args.clients,
-    }[args.workload]
-    axis = [int(x) for x in str(axis_raw).split(",")]
-    for name in schedulers:
-        if name not in SCHEDULERS:
-            raise SystemExit(f"unknown scheduler {name!r}")
-    for name in spec_names:
-        if name not in SPECS:
-            raise SystemExit(f"unknown machine spec {name!r}")
+    schedulers = resolve_scheduler_list(args.schedulers)
+    spec_names = resolve_machine_list(args.specs)
+    axis_name, metric, unit = _SWEEP[args.workload]
+    axis = [int(x) for x in str(getattr(args, axis_name)).split(",")]
+    base_seed = WORKLOADS[args.workload].config_cls.seed
 
-    cells: list[RunSpec] = []
+    cells: list[ScenarioSpec] = []
     labels: list[tuple[str, str, int, int]] = []
     for sched_name in schedulers:
         for spec_name in spec_names:
             for x in axis:
                 for rep in range(args.repeats):
+                    # Each repeat perturbs the seed; repeat 0 keeps the default.
+                    seed = base_seed + rep
                     cells.append(
-                        _sweep_cell(args, sched_name, spec_name, x, rep)
+                        _scenario(
+                            args, args.workload, sched_name, spec_name, seed=seed,
+                            **{axis_name: x},
+                        )
                     )
                     labels.append((sched_name, spec_name, x, rep))
 
     computed = [0]
 
-    def progress(spec: RunSpec, cell: CellResult, cached: bool) -> None:
+    def progress(scenario: ScenarioSpec, cell: CellResult, cached: bool) -> None:
         verb = "cache" if cached else "ran  "
         computed[0] += 0 if cached else 1
+        spec = scenario.to_run_spec()
         print(f"  {verb} {spec.label} {spec.key[:12]}", file=sys.stderr)
 
-    runner = _runner_from_args(args, progress=progress)
     start = time.perf_counter()
-    results = runner.run(cells)
+    results = _run(args, cells, progress)
     wall = time.perf_counter() - start
 
-    metric, unit = _SWEEP_METRICS[args.workload]
-    axis_name = "files" if args.workload == "kernbench" else (
-        "clients" if args.workload == "webserver" else "rooms"
-    )
     rows = []
     for (sched_name, spec_name, x, rep), cell in zip(labels, results):
         value = cell.metric(metric)
@@ -525,7 +554,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     print(
         format_table(
-            f"Sweep — {args.workload} ({unit}), jobs={runner.jobs}",
+            f"Sweep — {args.workload} ({unit}), jobs={args.jobs or default_jobs()}",
             ["config", axis_name, "rep", unit],
             rows,
         )
@@ -590,81 +619,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_overrides(args: argparse.Namespace, workload: str) -> dict:
-    """Config overrides for one profiled run of ``workload``."""
-    if workload in ("volano", "select-chat"):
-        return {
-            "rooms": args.rooms,
-            "messages_per_user": args.messages,
-            "users_per_room": args.users,
-        }
-    if workload == "kernbench":
-        return {"files": args.files}
-    if workload == "webserver":
-        return {"clients": args.clients, "workers": args.workers}
-    # serve: library defaults; use `loadtest --profile` for full control.
-    return {}
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Cycle-attribution profile: one workload × one or more schedulers."""
-    import json as _json
-
-    from .prof import collapsed_stacks, flat_table, table1_comparison
-
+def _sched_scenarios(
+    args: argparse.Namespace, probe: str
+) -> tuple[str, list[ScenarioSpec]]:
+    """``profile``/``metrics``: one ``probe``-carrying cell per ``--sched``."""
     workload = resolve_workload_arg(args.workload)
     sched_names = resolve_scheduler_list(args.sched)
     if not sched_names:
         raise SystemExit("--sched must name at least one scheduler")
+    # serve: library defaults; use `loadtest --profile` for full control.
+    flags = args if workload != "serve" else argparse.Namespace(command=args.command)
+    return workload, [
+        _scenario(flags, workload, name, args.spec, probes=(probe,))
+        for name in sched_names
+    ]
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    """Cycle-attribution profile: one workload × one or more schedulers."""
+    from .prof import collapsed_stacks, flat_table, table1_comparison
+
+    workload, scenarios = _sched_scenarios(args, "profile")
     if args.ticks < 1:
         raise SystemExit(f"--ticks must be >= 1, got {args.ticks}")
-    overrides = _profile_overrides(args, workload)
 
-    profiles = {}
-    for sched_name in sched_names:
-        spec = RunSpec(workload, sched_name, args.spec, overrides)
-        cell = execute_spec(spec, profile=True, profile_ticks=args.ticks)
-        profiles[sched_name] = cell.profiler()
+    profiles = {
+        scenario.scheduler: cell.profiler()
+        for scenario, cell in zip(scenarios, _run(args, scenarios))
+    }
 
-    # With `--json -` the JSON document owns stdout; tables go to stderr.
-    out = sys.stderr if args.json == "-" else sys.stdout
     print(
         f"Profile — {workload}/{args.spec}, "
-        f"series bucket = {args.ticks} ticks",
-        file=out,
+        f"series bucket = {args.ticks} ticks"
     )
     for prof in profiles.values():
-        print(file=out)
-        print(flat_table(prof, top_tasks=args.top), file=out)
+        print()
+        print(flat_table(prof, top_tasks=args.top))
     if len(profiles) > 1:
-        print(file=out)
-        print(table1_comparison(profiles), file=out)
+        print()
+        print(table1_comparison(profiles))
 
     if args.collapsed:
         text = "".join(collapsed_stacks(p) for p in profiles.values())
-        if args.collapsed == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.collapsed, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"(collapsed stacks written to {args.collapsed})",
-                  file=sys.stderr)
+        _write(args, args.collapsed, text, "collapsed stacks")
     if args.json:
         payload = {
             "workload": workload,
             "machine": args.spec,
-            "overrides": overrides,
+            "config": scenarios[0].config_dict,
             "bucket_ticks": args.ticks,
             "profiles": {n: p.to_dict() for n, p in profiles.items()},
         }
-        if args.json == "-":
-            _json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-            sys.stdout.write("\n")
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                _json.dump(payload, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            print(f"(profile JSON written to {args.json})", file=sys.stderr)
+        _write_json(args, payload, "profile JSON")
     return 0
 
 
@@ -678,70 +684,27 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """
     from .obs import format_metrics
 
-    workload = resolve_workload_arg(args.workload)
-    sched_names = resolve_scheduler_list(args.sched)
-    if not sched_names:
-        raise SystemExit("--sched must name at least one scheduler")
-    overrides = _profile_overrides(args, workload)
+    workload, scenarios = _sched_scenarios(args, "metrics")
+    cells = _run(args, scenarios)
 
-    args.metrics = True  # _runner_from_args reads it; this command IS it
-    runner = _runner_from_args(args)
-    specs = [
-        RunSpec(workload, sched_name, args.spec, overrides)
-        for sched_name in sched_names
-    ]
-    cells = runner.run(specs)
-
-    # With `--json -` the JSON document owns stdout; tables go to stderr.
-    out = sys.stderr if args.json == "-" else sys.stdout
-    print(f"Metrics — {workload}/{args.spec}", file=out)
+    print(f"Metrics — {workload}/{args.spec}")
     snapshots = {}
-    for sched_name, cell in zip(sched_names, cells):
+    for scenario, cell in zip(scenarios, cells):
         snapshot = cell.metrics_probe().snapshot()
-        snapshots[sched_name] = snapshot
-        print(file=out)
-        print(f"[{sched_name}]", file=out)
-        print(format_metrics(snapshot), file=out)
+        snapshots[scenario.scheduler] = snapshot
+        print()
+        print(f"[{scenario.scheduler}]")
+        print(format_metrics(snapshot))
 
     if args.json:
-        import json as _json
-
         payload = {
             "workload": workload,
             "machine": args.spec,
-            "overrides": overrides,
+            "config": scenarios[0].config_dict,
             "metrics": snapshots,
         }
-        if args.json == "-":
-            _json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-            sys.stdout.write("\n")
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                _json.dump(payload, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            print(f"(metrics JSON written to {args.json})", file=sys.stderr)
+        _write_json(args, payload, "metrics JSON")
     return 0
-
-
-def _chaos_overrides(args: argparse.Namespace, workload: str) -> dict:
-    """Smoke-scale config overrides for one chaos run of ``workload``."""
-    if workload in ("volano", "select-chat"):
-        return {
-            "rooms": args.rooms,
-            "messages_per_user": args.messages,
-            "users_per_room": args.users,
-        }
-    if workload == "kernbench":
-        return {"files": args.files}
-    if workload == "webserver":
-        return {"clients": args.clients, "workers": args.workers}
-    # serve: a short live burst.
-    return {
-        "rooms": args.rooms,
-        "clients_per_room": 4,
-        "messages_per_client": max(args.messages, 10),
-        "duration_s": args.duration,
-    }
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -757,19 +720,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except (KeyError, OSError, ValueError) as exc:
         raise SystemExit(f"chaos: {exc}")
     workload_name = resolve_workload_arg(args.workload)
-    sched_name = resolve_scheduler_arg(args.scheduler)
     workload = WORKLOADS[workload_name]
-    factory = SCHEDULERS[sched_name]
-    machine_spec = SPECS[args.spec]
-    overrides = _chaos_overrides(args, workload_name)
+    burst = {}
+    if workload_name == "serve":  # a short live burst
+        burst = {"clients": 4, "messages": max(args.messages, 10)}
+    clean = _scenario(args, workload_name, args.scheduler, args.spec, **burst)
+    sched_name = clean.scheduler
 
-    baseline_raw = workload.run(
-        factory, machine_spec, workload.config_cls(**overrides)
-    )
-    chaos_cfg = workload.config_cls(
-        **{**overrides, "fault_plan": plan.to_config()}
-    )
-    faulted_raw = workload.run(factory, machine_spec, chaos_cfg)
+    def run(scenario: ScenarioSpec):
+        # The raw result, not a CellResult: the report reads the
+        # injector's log and the deadlock flag off the simulation.
+        spec = scenario.to_run_spec()
+        return workload.run(
+            SCHEDULERS[spec.scheduler], SPECS[spec.machine], spec.build_config()
+        )
+
+    baseline_raw = run(clean)
+    faulted_raw = run(replace(clean, fault_plan=plan))
 
     summary = getattr(faulted_raw.sim, "fault_summary", {}) or {}
     deadlocked = bool(
@@ -819,18 +786,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.json:
-        import json as _json
-        import os as _os
-
-        parent = _os.path.dirname(args.json)
-        if parent:
-            _os.makedirs(parent, exist_ok=True)
         payload = {
             "plan": plan.to_dict(),
             "workload": workload_name,
             "scheduler": sched_name,
             "machine": args.spec,
-            "overrides": overrides,
+            "config": clean.config_dict,
             "injected": injected,
             "by_kind": by_kind,
             "log": summary.get("log", []),
@@ -838,15 +799,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             "baseline": baseline,
             "faulted": faulted,
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"(chaos report written to {args.json})", file=sys.stderr)
+        _write_json(args, payload, "chaos report")
     return 1 if deadlocked else 0
 
 
 def _cluster_config_from_args(args: argparse.Namespace):
     from .cluster import ClusterConfig
+    from .scenario import resolve_scenario
 
     # Topology is a runtime decision even when a scenario drives the run.
     topology = dict(
@@ -856,42 +815,14 @@ def _cluster_config_from_args(args: argparse.Namespace):
         respawn=not getattr(args, "no_respawn", False),
         port=getattr(args, "port", 0),
     )
-    if getattr(args, "scenario", ""):
-        from .scenario import resolve_scenario
-
-        try:
+    try:
+        if getattr(args, "scenario", ""):
             scenario = resolve_scenario(args.scenario)
-            return ClusterConfig.from_scenario(scenario, **topology)
-        except (KeyError, OSError, ValueError) as exc:
-            raise SystemExit(f"cluster: {exc}")
-    return ClusterConfig(
-        scheduler=resolve_scheduler_arg(args.scheduler),
-        machine=args.spec,
-        rooms=args.rooms,
-        clients_per_room=args.clients,
-        messages_per_client=args.messages,
-        message_interval_ms=args.interval_ms,
-        duration_s=args.duration,
-        seed=args.seed,
-        fault_plan=getattr(args, "fault_plan", "") or "",
-        load_schedule=getattr(args, "load_schedule", "") or "",
-        **topology,
-    )
-
-
-def _write_cluster_json(args: argparse.Namespace, report) -> None:
-    if not args.json:
-        return
-    import json as _json
-    import os as _os
-
-    parent = _os.path.dirname(args.json)
-    if parent:
-        _os.makedirs(parent, exist_ok=True)
-    with open(args.json, "w", encoding="utf-8") as handle:
-        _json.dump(report.to_dict(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"(cluster report written to {args.json})", file=sys.stderr)
+        else:
+            scenario = _scenario(args, "serve", args.scheduler, args.spec)
+        return ClusterConfig.from_scenario(scenario, **topology)
+    except (KeyError, OSError, ValueError) as exc:
+        raise SystemExit(f"cluster: {exc}")
 
 
 def _print_cluster_report(title: str, report) -> None:
@@ -996,7 +927,8 @@ def cmd_cluster_loadtest(args: argparse.Namespace) -> int:
         f"{config.clients_per_room} clients",
         report,
     )
-    _write_cluster_json(args, report)
+    if args.json:
+        _write_json(args, report.to_dict(), "cluster report")
     return 0 if report.survived else 1
 
 
@@ -1034,7 +966,8 @@ def cmd_cluster_chaos(args: argparse.Namespace) -> int:
             f"  t={event['t_s']:.3f}s {event['kind']}: {event['detail']}",
             file=sys.stderr,
         )
-    _write_cluster_json(args, report)
+    if args.json:
+        _write_json(args, report.to_dict(), "cluster report")
     return 0 if report.survived and report.recovered else 1
 
 
@@ -1115,36 +1048,22 @@ def _gather_scenarios(args: argparse.Namespace):
     without ``--check``.
     """
     import fnmatch
-    import json as json_mod
     from pathlib import Path
 
-    from .scenario import ScenarioSpec, named_scenarios, resolve_scenario
+    from .scenario import load_scenario_payload, named_scenarios, resolve_scenario
 
     scenarios = []
     any_quarantine = False
-    def _is_file(candidate: str) -> bool:
-        try:
-            return Path(candidate).is_file()
-        except OSError:  # e.g. inline JSON far beyond NAME_MAX
-            return False
-
     for ref in args.refs:
-        payload = None
-        if ref.lstrip().startswith("{"):
-            pass  # inline JSON: resolve_scenario handles it below
-        elif ref.startswith("@") and _is_file(ref[1:]):
-            payload = json_mod.loads(Path(ref[1:]).read_text())
-        elif _is_file(ref):
-            payload = json_mod.loads(Path(ref).read_text())
-        if isinstance(payload, dict):
-            if "divergences" in payload:
-                any_quarantine = True
-            scenarios.append(ScenarioSpec.from_dict(payload))
-            continue
         try:
             scenarios.append(resolve_scenario(ref))
         except (KeyError, ValueError) as exc:
             raise SystemExit(str(exc.args[0] if exc.args else exc))
+        try:
+            _, payload = load_scenario_payload(Path(ref.removeprefix("@")))
+        except (OSError, ValueError):
+            continue  # a registry name or inline JSON, not a file
+        any_quarantine = any_quarantine or "divergences" in payload
     if getattr(args, "match", None):
         registry = named_scenarios()
         matched = [
@@ -1201,7 +1120,6 @@ def cmd_scenario_render(args: argparse.Namespace) -> int:
     """Print a scenario's canonical JSON (the scenario-file format)."""
     import json as json_mod
 
-    args.match = None
     scenarios, _ = _gather_scenarios(args)
     for spec in scenarios:
         if args.compact:
@@ -1215,7 +1133,7 @@ def cmd_scenario_render(args: argparse.Namespace) -> int:
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    from .scenario import check_scenario, run_scenarios
+    from .scenario import check_scenario
 
     scenarios, any_quarantine = _gather_scenarios(args)
     check = args.check or any_quarantine
@@ -1249,9 +1167,6 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         )
         return 1 if failed else 0
 
-    if args.jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0 (0 = auto), got {args.jobs}")
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
     done = {"count": 0}
 
     def progress(spec, result, cached) -> None:
@@ -1262,13 +1177,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    results = run_scenarios(
-        scenarios,
-        jobs=args.jobs,
-        cache=cache,
-        manifest_path=args.manifest or None,
-        progress=progress,
-    )
+    results = _run(args, scenarios, progress)
     if args.json:
         print(
             json_mod.dumps(
@@ -1303,14 +1212,13 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def cmd_schedstat(args: argparse.Namespace) -> int:
     from .kernel.proc import render_runqueue, render_schedstat, render_tasks
-    from .kernel.simulator import Simulator, make_machine
+    from .kernel.simulator import make_machine
     from .workloads.volanomark import VolanoMark
 
-    cfg = _volano_config(args)
-    bench = VolanoMark(cfg)
-    sim = Simulator(SCHEDULERS[args.scheduler], SPECS[args.spec])
-    scheduler = sim.scheduler_factory()
-    machine = make_machine(scheduler, sim.spec)
+    # A direct run, not a cell: the tables read the live Machine.
+    spec = _scenario(args, "volano", args.scheduler, args.spec).to_run_spec()
+    bench = VolanoMark(spec.build_config())
+    machine = make_machine(SCHEDULERS[spec.scheduler](), SPECS[spec.machine])
     bench.populate(machine)
     machine.run()
     print(render_schedstat(machine))
@@ -1333,47 +1241,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volano", help="one VolanoMark run")
     _add_common(p)
-    p.add_argument("--rooms", type=int, default=10)
-    p.add_argument("--messages", type=int, default=10)
-    p.add_argument("--paper", action="store_true", help="paper parameters")
-    p.set_defaults(func=cmd_volano)
+    _add_flags(p, rooms=10, messages=10, paper=False)
+    p.set_defaults(func=cmd_cell)
 
     p = sub.add_parser("select-chat", help="the select()-server counterfactual")
     _add_common(p)
-    p.add_argument("--rooms", type=int, default=10)
-    p.add_argument("--messages", type=int, default=10)
-    p.add_argument("--paper", action="store_true")
-    p.set_defaults(func=cmd_select_chat)
+    _add_flags(p, rooms=10, messages=10, paper=False)
+    p.set_defaults(func=cmd_cell)
 
     p = sub.add_parser("report", help="run the full evaluation and print it")
-    p.add_argument("--messages", type=int, default=6)
+    _add_flags(p, messages=6)
     p.add_argument("--output", default="", help="also write to this file")
     _add_harness_args(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("kernbench", help="one simulated kernel compile")
     _add_common(p)
-    p.add_argument("--files", type=int, default=400)
-    p.add_argument("--jobs", type=int, default=4)
-    p.set_defaults(func=cmd_kernbench)
+    _add_flags(p, files=400)
+    p.add_argument("--jobs", dest="make_jobs", type=int, default=4, help="make -j")
+    p.set_defaults(func=cmd_cell)
 
     p = sub.add_parser("webserver", help="one Apache-style server run")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=16)
-    p.add_argument("--clients", type=int, default=64)
-    p.set_defaults(func=cmd_webserver)
+    _add_flags(p, workers=16, clients=64)
+    p.set_defaults(func=cmd_cell)
 
     p = sub.add_parser("figure3", help="regenerate Figure 3's series")
     p.add_argument("--rooms-list", default="5,10,15,20")
-    p.add_argument("--messages", type=int, default=6)
-    p.add_argument("--paper", action="store_true")
+    _add_flags(p, messages=6, paper=False)
     _add_harness_args(p)
     p.set_defaults(func=cmd_figure3)
 
     p = sub.add_parser("figure4", help="regenerate Figure 4's scaling factors")
     p.add_argument("--rooms-list", default="5,10,15,20")
-    p.add_argument("--messages", type=int, default=6)
-    p.add_argument("--paper", action="store_true")
+    _add_flags(p, messages=6, paper=False)
     _add_harness_args(p)
     p.set_defaults(func=cmd_figure4)
 
@@ -1381,61 +1282,50 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="ad-hoc experiment grid through the parallel harness"
     )
     p.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="volano"
+        "--workload",
+        choices=sorted(_SWEEP),
+        default="volano",
+        help="its axis flag (--rooms, --files or --clients) takes a "
+        "comma-separated list",
     )
     p.add_argument("--schedulers", default="elsc,reg", help="comma-separated")
     p.add_argument("--specs", default="UP", help="comma-separated machine specs")
-    p.add_argument("--rooms", default="5,10,15,20", help="volano room axis")
-    p.add_argument("--messages", type=int, default=6)
-    p.add_argument("--users", type=int, default=20, help="volano users per room")
-    p.add_argument("--files", default="400", help="kernbench file axis")
-    p.add_argument("--clients", default="64", help="webserver client axis")
-    p.add_argument("--workers", type=int, default=16, help="webserver workers")
+    _add_flags(
+        p, rooms="5,10,15,20", messages=6, users=20, files="400", clients="64",
+        workers=16,
+    )
     p.add_argument(
         "--repeats",
         type=int,
         default=1,
         help="repetitions per cell (seed perturbed per repeat)",
     )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the cycle-attribution profiler to every cell and "
-        "print a per-phase breakdown table",
-    )
-    p.add_argument(
-        "--metrics",
-        action="store_true",
-        help="attach the MetricsProbe to every cell and print a "
-        "per-cell counter summary",
-    )
+    _add_flags(p, profile=False, metrics=False)
     _add_harness_args(p)
     p.set_defaults(func=cmd_sweep)
 
-    sched_choices = scheduler_vocab()
-    workload_choices = workload_vocab()
+    def _add_sched_list_args(p: argparse.ArgumentParser) -> None:
+        # profile and metrics: one workload under each listed scheduler.
+        p.add_argument("--workload", choices=workload_vocab(), default="volano")
+        p.add_argument(
+            "--sched",
+            "--schedulers",
+            dest="sched",
+            default="vanilla",
+            help="comma-separated schedulers (aliases accepted)",
+        )
+        p.add_argument("--spec", choices=machine_vocab(), default="UP")
+        _add_flags(
+            p, rooms=10, messages=6, users=20, files=400, clients=64, workers=16,
+            json="",
+        )
 
     p = sub.add_parser(
         "profile",
-        help="kernprof-style cycle attribution (flat table, Table 1, "
-        "flamegraph stacks)",
+        help="kernprof-style cycle attribution (flat table, Table 1 for "
+        "two or more schedulers, flamegraph stacks)",
     )
-    p.add_argument("--workload", choices=workload_choices, default="volano")
-    p.add_argument(
-        "--sched",
-        "--schedulers",
-        dest="sched",
-        default="vanilla",
-        help="comma-separated schedulers (aliases accepted; two or more "
-        "add a Table-1 comparison)",
-    )
-    p.add_argument("--spec", choices=list(SPECS), default="UP")
-    p.add_argument("--rooms", type=int, default=10)
-    p.add_argument("--messages", type=int, default=6)
-    p.add_argument("--users", type=int, default=20)
-    p.add_argument("--files", type=int, default=400, help="kernbench files")
-    p.add_argument("--clients", type=int, default=64, help="webserver clients")
-    p.add_argument("--workers", type=int, default=16, help="webserver workers")
+    _add_sched_list_args(p)
     p.add_argument(
         "--ticks",
         type=int,
@@ -1444,11 +1334,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top", type=int, default=10, help="hottest tasks per flat table"
-    )
-    p.add_argument(
-        "--json",
-        default="",
-        help="write the profile JSON here ('-' = stdout, tables to stderr)",
     )
     p.add_argument(
         "--collapsed",
@@ -1462,34 +1347,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe-pipeline counters and histograms for one workload "
         "(cached like profiled cells)",
     )
-    p.add_argument("--workload", choices=workload_choices, default="volano")
-    p.add_argument(
-        "--sched",
-        "--schedulers",
-        dest="sched",
-        default="vanilla",
-        help="comma-separated schedulers (aliases accepted)",
-    )
-    p.add_argument("--spec", choices=machine_vocab(), default="UP")
-    p.add_argument("--rooms", type=int, default=10)
-    p.add_argument("--messages", type=int, default=6)
-    p.add_argument("--users", type=int, default=20)
-    p.add_argument("--files", type=int, default=400, help="kernbench files")
-    p.add_argument("--clients", type=int, default=64, help="webserver clients")
-    p.add_argument("--workers", type=int, default=16, help="webserver workers")
-    p.add_argument(
-        "--json",
-        default="",
-        help="write the metrics JSON here ('-' = stdout, tables to stderr)",
-    )
+    _add_sched_list_args(p)
     _add_harness_args(p)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser(
         "serve", help="run the live scheduler-driven chat server (foreground)"
     )
-    p.add_argument("--scheduler", choices=sched_choices, default="vanilla")
-    p.add_argument("--spec", choices=machine_vocab(), default="UP")
+    _add_common(p, scheduler="vanilla")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7100)
     p.add_argument(
@@ -1504,46 +1369,11 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest",
         help="live localhost loadtest through the harness (one RunSpec cell)",
     )
-    p.add_argument("--scheduler", choices=sched_choices, default="vanilla")
-    p.add_argument("--spec", choices=machine_vocab(), default="UP")
-    p.add_argument("--rooms", type=int, default=2)
-    p.add_argument("--clients", type=int, default=8, help="clients per room")
-    p.add_argument(
-        "--messages", type=int, default=10, help="messages per client"
-    )
-    p.add_argument(
-        "--interval-ms",
-        type=float,
-        default=2.0,
-        help="open-loop arrival period per client",
-    )
-    p.add_argument(
-        "--duration", type=float, default=10.0, help="hard deadline, seconds"
-    )
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--max-pending", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=0.0,
-        help="per-request deadline; queued past it is answered 'expired'",
-    )
-    p.add_argument(
-        "--fault-plan",
-        default="",
-        help="run under live chaos: a named plan, inline JSON, or @file",
-    )
-    p.add_argument("--json", default="", help="also write metrics JSON here")
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the cycle-attribution profiler and print its flat table",
-    )
-    p.add_argument(
-        "--metrics",
-        action="store_true",
-        help="attach the MetricsProbe and print its counter/histogram block",
+    _add_common(p, scheduler="vanilla")
+    _add_flags(
+        p, rooms=2, clients=8, messages=10, interval_ms=2.0, duration=10.0,
+        batch=8, max_pending=4096, seed=42, deadline_ms=0.0, fault_plan="",
+        profile=False, metrics=False, json="",
     )
     _add_harness_args(p)
     p.set_defaults(func=cmd_loadtest)
@@ -1557,19 +1387,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="named fault plan, inline JSON, or @file (see docs/faults.md)",
     )
-    p.add_argument("--workload", choices=workload_choices, default="volano")
-    p.add_argument("--scheduler", choices=sched_choices, default="elsc")
-    p.add_argument("--spec", choices=machine_vocab(), default="2P")
-    p.add_argument("--rooms", type=int, default=1)
-    p.add_argument("--messages", type=int, default=2)
-    p.add_argument("--users", type=int, default=3)
-    p.add_argument("--files", type=int, default=50, help="kernbench files")
-    p.add_argument("--clients", type=int, default=8, help="webserver clients")
-    p.add_argument("--workers", type=int, default=4, help="webserver workers")
-    p.add_argument(
-        "--duration", type=float, default=3.0, help="serve burst, seconds"
+    p.add_argument("--workload", choices=workload_vocab(), default="volano")
+    _add_common(p, spec="2P")
+    _add_flags(
+        p, rooms=1, messages=2, users=3, files=50, clients=8, workers=4,
+        duration=3.0, json="",
     )
-    p.add_argument("--json", default="", help="write the chaos report here")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -1597,33 +1420,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the self-healing monitor (a killed shard stays "
             "dead and the cluster runs degraded)",
         )
-        cp.add_argument("--scheduler", choices=sched_choices, default="vanilla")
-        cp.add_argument(
-            "--spec",
-            choices=machine_vocab(),
-            default="UP",
-            help="machine spec of each shard's executor",
-        )
-        cp.add_argument("--rooms", type=int, default=4)
-        cp.add_argument("--clients", type=int, default=4, help="per room")
-        cp.add_argument(
-            "--messages", type=int, default=10, help="messages per client"
-        )
-        cp.add_argument(
-            "--interval-ms",
-            type=float,
-            default=2.0,
-            help="open-loop arrival period per client",
-        )
-        cp.add_argument(
-            "--duration", type=float, default=10.0, help="hard deadline, s"
-        )
-        cp.add_argument("--seed", type=int, default=42)
-        cp.add_argument(
-            "--load-schedule",
-            default="",
-            help="phased offered load: canonical LoadSchedule JSON "
-            "(replaces --messages/--interval-ms pacing)",
+        _add_common(cp, scheduler="vanilla")
+        _add_flags(
+            cp, rooms=4, clients=4, messages=10, interval_ms=2.0,
+            duration=10.0, seed=42, load_schedule="",
         )
         cp.add_argument(
             "--scenario",
@@ -1646,12 +1446,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest", help="spawn a cluster, drive the load, report"
     )
     _add_cluster_args(cp)
-    cp.add_argument(
-        "--fault-plan",
-        default="",
-        help="optionally run under a fault plan (named, inline JSON, @file)",
-    )
-    cp.add_argument("--json", default="", help="write the report JSON here")
+    _add_flags(cp, fault_plan="", json="")
     cp.set_defaults(func=cmd_cluster_loadtest)
 
     cp = cluster_sub.add_parser(
@@ -1666,7 +1461,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan: e.g. kill-one-shard, kill-respawn-shard "
         "(see docs/cluster.md); optional when --scenario carries one",
     )
-    cp.add_argument("--json", default="", help="write the report JSON here")
+    _add_flags(cp, json="")
     cp.set_defaults(func=cmd_cluster_chaos)
 
     p = sub.add_parser(
@@ -1814,9 +1609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedstat", help="/proc-style scheduler statistics")
     _add_common(p)
-    p.add_argument("--rooms", type=int, default=10)
-    p.add_argument("--messages", type=int, default=6)
-    p.add_argument("--paper", action="store_true")
+    _add_flags(p, rooms=10, messages=6, paper=False)
     p.add_argument("--tasks", type=int, default=0, help="also list first N tasks")
     p.add_argument("--runqueue", action="store_true")
     p.set_defaults(func=cmd_schedstat)
@@ -1826,7 +1619,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    args.stdout = sys.stdout
+    if getattr(args, "json", "") != "-":
+        return args.func(args)
+    # `--json -`: the JSON document owns stdout; the tables go to stderr.
+    with contextlib.redirect_stdout(sys.stderr):
+        return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,10 +1,10 @@
 """Deterministic kernel-level fault injection.
 
 :class:`FaultInjector` binds to a :class:`~repro.kernel.machine.Machine`
-exactly the way the profiler does — ``machine.attach_faults(injector)``
-sets one attribute and schedules one CALLBACK event per kernel fault in
-the plan.  A machine with no injector attached executes the identical
-instruction stream it always did (the zero-cost guarantee the
+as a probe, exactly the way the profiler does —
+``machine.attach(injector)`` schedules one CALLBACK event per kernel
+fault in the plan.  A machine with no injector attached executes the
+identical instruction stream it always did (the zero-cost guarantee the
 differential tests pin down); a bound injector with an empty plan
 schedules nothing and is equally invisible.
 

@@ -48,7 +48,7 @@ from .mm import MMStruct
 from .params import CYCLES_PER_TICK, DEFAULT_PRIORITY, seconds_to_cycles
 from .sync import Channel
 from .task import SchedPolicy, Task, TaskState
-from .trace import Tracer
+from .trace import Tracer  # noqa: F401 — must load before repro.obs (below)
 from .waitqueue import WaitQueue
 
 # The probe pipeline must import after .trace: repro.obs is kernel-free
@@ -63,7 +63,6 @@ from ..obs.probe import (
     SyscallEvent,
     WakeupEvent,
 )
-from ..obs.probes import ProfilerProbe, TracerProbe
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sched.base import Scheduler
@@ -271,39 +270,6 @@ class Machine:
     def detach(self, probe: Any) -> None:
         """Remove a probe from the pipeline (idempotent)."""
         self.probes.remove(probe)
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The first attached tracer's ring, or None (compat read)."""
-        probe = self.probes.first(TracerProbe)
-        return probe.tracer if probe is not None else None
-
-    @property
-    def prof(self) -> Optional[Any]:
-        """The first attached profiler sink, or None (compat read)."""
-        probe = self.probes.first(ProfilerProbe)
-        return probe.sink if probe is not None else None
-
-    @property
-    def faults(self) -> Optional[Any]:
-        """The first attached fault injector, or None (compat read)."""
-        if not self.probes.fault:
-            return None
-        from ..faults.injector import FaultInjector  # local import: layering
-
-        return self.probes.first(FaultInjector)
-
-    def attach_tracer(self, tracer: Optional[Tracer] = None) -> Tracer:
-        """Deprecated: ``attach(TracerProbe(tracer))``.  Returns the ring."""
-        return self.attach(TracerProbe(tracer)).tracer
-
-    def attach_profiler(self, prof: Optional[Any] = None) -> Any:
-        """Deprecated: ``attach(ProfilerProbe(prof))``.  Returns the sink."""
-        return self.attach(ProfilerProbe(prof)).sink
-
-    def attach_faults(self, injector: Any) -> Any:
-        """Deprecated: ``attach(injector)``; schedules its plan."""
-        return self.attach(injector)
 
     # -- task population -----------------------------------------------------
 

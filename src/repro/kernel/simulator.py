@@ -125,14 +125,16 @@ class Simulator:
         scheduler = self.scheduler_factory()
         machine = make_machine(scheduler, self.spec, self.cost)
         if self.prof is not None:
-            machine.attach_profiler(self.prof)
+            from ..obs.probes import ProfilerProbe  # layering
+
+            machine.attach(ProfilerProbe(self.prof))
         if self.metrics is not None:
             machine.attach(self.metrics)
         injector = None
         if self.fault_plan is not None:
             from ..faults.injector import FaultInjector  # layering
 
-            injector = machine.attach_faults(FaultInjector(self.fault_plan))
+            injector = machine.attach(FaultInjector(self.fault_plan))
             if until_seconds is None and self.fault_plan.horizon_s > 0:
                 until_seconds = self.fault_plan.horizon_s
         payload = populate(machine) or {}

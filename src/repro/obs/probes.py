@@ -5,10 +5,10 @@ events into exactly the ``Tracer.record`` / ``ProfSink.charge`` calls
 the machine used to make inline, so a trace ring or profile taken
 through the pipeline is bit-identical to one taken on the pre-pipeline
 code (pinned by ``tests/obs/test_pipeline_identity.py``).  The wrapped
-objects stay the public artifact: ``machine.attach_tracer()`` still
-hands back a :class:`~repro.kernel.trace.Tracer`, and
-``machine.attach_profiler()`` a :class:`~repro.prof.profiler.Profiler`
-— the adapters are plumbing, not API.
+objects stay the public artifact — ``machine.attach(TracerProbe()).tracer``
+is a :class:`~repro.kernel.trace.Tracer`, and
+``machine.attach(ProfilerProbe()).sink`` a
+:class:`~repro.prof.profiler.Profiler`.
 """
 
 from __future__ import annotations

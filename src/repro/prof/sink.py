@@ -4,8 +4,8 @@ The machine knows nothing about accumulation, histograms, or output
 formats: its only obligation is to call :meth:`ProfSink.charge` at the
 moment a cost-model charge lands, naming the phase.  Anything
 implementing this one method can be attached via
-``Machine.attach_profiler`` — the shipped implementation is
-:class:`repro.prof.profiler.Profiler`.
+``machine.attach(ProfilerProbe(sink))`` — the shipped implementation
+is :class:`repro.prof.profiler.Profiler`.
 """
 
 from __future__ import annotations

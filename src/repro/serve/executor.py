@@ -196,12 +196,6 @@ class SchedulerExecutor:
         """Remove a probe from the pipeline (idempotent)."""
         self.probes.remove(probe)
 
-    @property
-    def prof(self) -> Optional[object]:
-        """The first attached profiler sink, or None (compat read)."""
-        probe = self.probes.first(ProfilerProbe)
-        return probe.sink if probe is not None else None
-
     # -- handler lifecycle ---------------------------------------------------
 
     def register(

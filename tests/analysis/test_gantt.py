@@ -7,11 +7,12 @@ import pytest
 from repro import Channel, Machine, MMStruct, Tracer, VanillaScheduler
 from repro.analysis.gantt import gantt, occupancy
 from repro.kernel.trace import TraceKind
+from repro.obs import TracerProbe
 
 
 def traced_run():
     machine = Machine(VanillaScheduler(), num_cpus=2, smp=True)
-    tracer = machine.attach_tracer(Tracer(capacity=100_000))
+    tracer = machine.attach(TracerProbe(Tracer(capacity=100_000))).tracer
     chan = Channel(1)
 
     def ping(env):

@@ -7,13 +7,14 @@ import pytest
 
 from repro import ELSCScheduler, Machine, Tracer, VanillaScheduler
 from repro.kernel.trace import TraceKind
+from repro.obs import TracerProbe
 from repro.workloads.synthetic import fanout_broadcast, pingpong_pairs
 from repro.workloads.volanomark import VolanoConfig, VolanoMark
 
 
 def traced(factory, num_cpus=1, smp=False):
     machine = Machine(factory(), num_cpus=num_cpus, smp=smp)
-    tracer = machine.attach_tracer(Tracer(capacity=1_000_000))
+    tracer = machine.attach(TracerProbe(Tracer(capacity=1_000_000))).tracer
     return machine, tracer
 
 

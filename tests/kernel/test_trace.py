@@ -6,11 +6,12 @@ import pytest
 
 from repro import Channel, ELSCScheduler, Machine, MMStruct, VanillaScheduler
 from repro.kernel.trace import TraceKind, Tracer
+from repro.obs import TracerProbe
 
 
 def traced_machine(factory=VanillaScheduler, num_cpus=1, smp=False, capacity=10_000):
     machine = Machine(factory(), num_cpus=num_cpus, smp=smp)
-    tracer = machine.attach_tracer(Tracer(capacity=capacity))
+    tracer = machine.attach(TracerProbe(Tracer(capacity=capacity))).tracer
     return machine, tracer
 
 
@@ -134,7 +135,7 @@ class TestTracedSimulation:
 
         machine.spawn(body)
         machine.run()
-        assert machine.tracer is None
+        assert machine.probes.first(TracerProbe) is None
 
     def test_trace_timestamps_monotonic(self):
         machine, tracer = traced_machine()

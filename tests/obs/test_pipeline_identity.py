@@ -65,8 +65,8 @@ def test_stacked_probes_are_bit_identical_to_detached(
     assert _summary_tuple(summary) == _summary_tuple(plain_summary)
     assert _stats_tuple(stats) == _stats_tuple(plain_stats)
     # The stack really observed: the tracer ring and profiler have data.
-    assert machine.tracer is not None and len(machine.tracer.records()) > 0
-    assert machine.prof is not None
+    assert len(machine.probes.first(TracerProbe).tracer.records()) > 0
+    assert machine.probes.first(ProfilerProbe) is not None
 
 
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
@@ -78,9 +78,9 @@ def test_attach_then_detach_restores_detached_state(scheduler_name):
     probe = machine.attach(TracerProbe())
     machine.detach(probe)
     assert not machine.probes
-    assert machine.tracer is None
-    assert machine.prof is None
-    assert machine.faults is None
+    assert machine.probes.first(TracerProbe) is None
+    assert machine.probes.first(ProfilerProbe) is None
+    assert machine.probes.first(FaultInjector) is None
     bench.populate(machine)
     summary = machine.run()
     assert _summary_tuple(summary) == _summary_tuple(plain_summary)
@@ -104,7 +104,7 @@ def test_stacked_conservation(scheduler_name, spec_name):
     phase ledger still conserves against the machine's own counters."""
     probes = [TracerProbe(), ProfilerProbe(), FaultInjector(FaultPlan())]
     machine, _, stats = _run_machine(scheduler_name, spec_name, probes=probes)
-    prof = machine.prof
+    prof = machine.probes.first(ProfilerProbe).sink
     assert prof.scheduler_cycles() == stats.scheduler_cycles
     assert prof.phase_total("lock_wait") == stats.lock_spin_cycles
 
@@ -131,17 +131,3 @@ def test_scenario_bit_identical_to_plain_invocation(scheduler_name, spec_name):
     via_scenario = run_scenario(scenario)
     via_plain = execute_spec(plain_spec)
     assert via_scenario.canonical() == via_plain.canonical()
-
-
-def test_legacy_attach_names_still_work():
-    """attach_tracer/attach_profiler/attach_faults are thin wrappers over
-    attach() and return what callers historically consumed."""
-    scheduler = SCHEDULERS["reg"]()
-    machine = make_machine(scheduler, MACHINE_SPECS["2P"])
-    tracer = machine.attach_tracer()
-    prof = machine.attach_profiler()
-    injector = machine.attach_faults(FaultInjector(FaultPlan()))
-    assert machine.tracer is tracer
-    assert machine.prof is prof
-    assert machine.faults is injector
-    assert len(machine.probes) == 3
