@@ -19,9 +19,10 @@ a ``handback`` frame makes this shard export the sessions/rooms living
 on a returning shard's slots (a :func:`snapshot_entries` snapshot over
 a peer-link ``handoff``), drop them, and ack — while an incoming
 ``handoff`` re-primes a freshly respawned shard with exactly that
-state.  The dispatch loop carries
-the serve layer's supervision contract: a crashed scheduler adapter is
-rebuilt in place (``executor_restarts``), never fatal.
+state.  Dispatch runs on the executor's supervised loop
+(:meth:`~repro.serve.executor.SchedulerExecutor.dispatch_forever`): a
+crashed scheduler adapter is rebuilt in place (``executor_restarts``),
+never fatal.
 
 This module is the subprocess side only — :func:`shard_main` is the
 ``multiprocessing`` entry point; the router lives in the parent.
@@ -105,7 +106,6 @@ class ShardCore:
         self.fwd_dropped = 0
         self.fwd_misses = 0
         self.shed = 0
-        self.executor_restarts = 0
         self.repl_entries_out = 0
         self.repl_entries_in = 0
         self.promotions = 0
@@ -132,7 +132,8 @@ class ShardCore:
             }
         )
         self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name=f"{self.name}-dispatch"
+            self.executor.dispatch_forever(self._serve, self._work),
+            name=f"{self.name}-dispatch",
         )
         try:
             while True:
@@ -472,33 +473,10 @@ class ShardCore:
         ):
             self.repl_entries_out += len(entries)
 
-    # -- the scheduler-driven dispatch loop ---------------------------
-
-    async def _dispatch_loop(self) -> None:
-        executor = self.executor
-        while True:
-            if not executor.has_runnable():
-                self._work.clear()
-                if not executor.has_runnable():
-                    await self._work.wait()
-                continue
-            try:
-                task = executor.pick()
-                if task is None:
-                    await asyncio.sleep(0)
-                    continue
-                self._serve(task)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 — supervised: degrade, don't die
-                self.executor_restarts += 1
-                executor.rebuild()
-                await asyncio.sleep(0)
-                continue
-            self._flush_repl()
-            await asyncio.sleep(0)
+    # -- serving one dispatched session ------------------------------
 
     def _serve(self, task: Task) -> None:
+        """Serve one picked session (the executor's loop calls this)."""
         session: ShardSession = task.user
         budget = self.config.batch
         while session.inbox and budget > 0:
@@ -508,6 +486,7 @@ class ShardCore:
             self._complete(message)
         self.executor.charge_slice(task)
         self.executor.release(task, blocked=not session.inbox)
+        self._flush_repl()
 
     def _complete(self, message: dict[str, Any]) -> None:
         """One dispatched request: fan out locally or forward cross-shard."""
@@ -560,7 +539,7 @@ class ShardCore:
             "fwd_dropped": self.fwd_dropped,
             "fwd_misses": self.fwd_misses,
             "shed": self.shed,
-            "executor_restarts": self.executor_restarts,
+            "executor_restarts": self.executor.rebuilds,
             "repl_entries_out": self.repl_entries_out,
             "repl_entries_in": self.repl_entries_in,
             "promotions": self.promotions,

@@ -64,10 +64,7 @@ class FaultInjector(Probe):
 
     # -- attachment --------------------------------------------------------------
 
-    def on_attach(self, host: "Machine") -> None:
-        self.bind(host)
-
-    def bind(self, machine: "Machine") -> None:
+    def on_attach(self, machine: "Machine") -> None:
         """Schedule one CALLBACK per kernel fault; no other footprint."""
         self.machine = machine
         for index, spec in enumerate(self.plan.faults):
@@ -93,15 +90,8 @@ class FaultInjector(Probe):
         )
 
     def _emit(self, ev: FaultEvent) -> None:
-        """Deliver through the pipeline; direct-bound (legacy) injectors
-        that are not in the ProbeSet still log their own events."""
-        probes = getattr(self.machine, "probes", None)
-        seen_self = False
-        if probes is not None and probes.fault:
-            probes.emit_fault(ev)
-            seen_self = any(p is self for p in probes.fault)
-        if not seen_self:
-            self.on_fault(ev)
+        """Deliver through the pipeline (this injector's ``on_fault`` too)."""
+        self.machine.probes.emit_fault(ev)
 
     # -- reporting ---------------------------------------------------------------
 

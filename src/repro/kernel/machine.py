@@ -25,7 +25,7 @@ the run queue.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .actions import (
     Action,
@@ -40,26 +40,19 @@ from .actions import (
     WakeUp,
     YieldCPU,
 )
-from .clock import Clock
 from .cost_model import CostModel
 from .cpu import CPU
 from .events import Event, EventKind, EventQueue
+from .host import SchedHost
 from .mm import MMStruct
 from .params import CYCLES_PER_TICK, DEFAULT_PRIORITY, seconds_to_cycles
 from .sync import Channel
 from .task import SchedPolicy, Task, TaskState
-from .trace import Tracer  # noqa: F401 — must load before repro.obs (below)
 from .waitqueue import WaitQueue
-
-# The probe pipeline must import after .trace: repro.obs is kernel-free
-# at module level, but its adapters resolve repro.kernel.trace lazily,
-# so .trace has to be in sys.modules before any partial-init chain.
 from ..obs.probe import (
     DispatchEvent,
     LockEvent,
     PreemptEvent,
-    ProbeSet,
-    SchedEvent,
     SyscallEvent,
     WakeupEvent,
 )
@@ -193,7 +186,7 @@ class KernelHandle:
         return self.machine.spawn(body, **kwargs)
 
 
-class Machine:
+class Machine(SchedHost):
     """A simulated multiprocessor running one pluggable scheduler."""
 
     def __init__(
@@ -203,35 +196,14 @@ class Machine:
         smp: bool = True,
         cost: Optional[CostModel] = None,
     ) -> None:
-        if num_cpus < 1:
-            raise ValueError("need at least one CPU")
-        if not smp and num_cpus != 1:
+        if not smp and num_cpus > 1:
             raise ValueError("a UP (non-SMP) build has exactly one CPU")
-        self.smp = smp
-        self.cost = cost if cost is not None else CostModel()
-        self.clock = Clock()
+        super().__init__(scheduler, num_cpus, smp, cost)
         self.events = EventQueue()
-        self.cpus = [CPU(i) for i in range(num_cpus)]
-        self.scheduler = scheduler
         self.handle = KernelHandle(self)
-        #: All tasks ever created, pid-keyed; live_tasks() filters exits.
-        self._tasks: dict[int, Task] = {}
-        self._live_count = 0
-        #: Timestamp at which the global runqueue lock becomes free, and
-        #: which CPU holds it until then (None: interrupt context).  A
-        #: spinlock never contends with its own CPU, so spin time is only
-        #: charged across CPUs.
-        self.lock_free_at = 0
-        self.lock_owner_cpu: Optional[int] = None
         self._advancing: Optional[Task] = None
         self._halted = False
         self.total_ticks = 0
-        #: The observer pipeline (see repro.obs).  Every trace record,
-        #: profile charge, fault log line and metrics sample flows
-        #: through it; an empty set makes each emission site a single
-        #: falsy attribute test, so a machine with no probes runs the
-        #: identical event stream (bit-identical RunSummary/SchedStats).
-        self.probes = ProbeSet()
         #: Prebound deferred-dispatch callbacks, one pair per CPU, so the
         #: defer/resume hot paths schedule events without allocating a
         #: fresh ``partial`` each time.
@@ -241,35 +213,6 @@ class Machine:
         self._resume_cbs = [
             partial(Machine._resume_dispatch_cb, cpu=cpu) for cpu in self.cpus
         ]
-        #: API v2 lifecycle hooks, detected once: a scheduler that keeps
-        #: the base no-ops pays nothing on the tick/fork/exit paths (and
-        #: its event stream stays bit-identical to the pre-hook kernel).
-        from ..sched.base import Scheduler as _SchedulerBase
-
-        sched_cls = type(scheduler)
-        self._hook_tick = sched_cls.on_tick is not _SchedulerBase.on_tick
-        self._hook_fork = sched_cls.on_fork is not _SchedulerBase.on_fork
-        self._hook_exit = sched_cls.on_exit is not _SchedulerBase.on_exit
-        scheduler.bind(self)
-
-    # -- observers ---------------------------------------------------------
-
-    def attach(self, probe: Any) -> Any:
-        """Attach a probe to the pipeline (and return it).
-
-        The one attachment path: subscribes the probe to its event
-        kinds, gives it an ``on_attach`` look at the machine (the fault
-        injector schedules its plan there), and tells it the bound
-        scheduler's name.
-        """
-        self.probes.add(probe)
-        probe.on_attach(self)
-        probe.set_scheduler(self.scheduler.name)
-        return probe
-
-    def detach(self, probe: Any) -> None:
-        """Remove a probe from the pipeline (idempotent)."""
-        self.probes.remove(probe)
 
     # -- task population -----------------------------------------------------
 
@@ -292,20 +235,9 @@ class Machine:
             body=body,
         )
         task.start(self.handle)
-        self._tasks[task.pid] = task
-        self._live_count += 1
-        if self._hook_fork:
-            self.scheduler.on_fork(task)
+        self._fork(task)
         self.wake_up_process(task, self.clock.now)
         return task
-
-    def live_tasks(self) -> Iterable[Task]:
-        """``for_each_task``: every non-exited task."""
-        return (t for t in self._tasks.values() if not t.exited)
-
-    def live_count(self) -> int:
-        """Number of tasks that have not exited."""
-        return self._live_count
 
     def all_tasks(self) -> list[Task]:
         """Every task ever created on this machine, zombies included."""
@@ -329,18 +261,8 @@ class Machine:
         for interrupt/timer context); spin time on the runqueue lock is
         only charged when the lock is held by a *different* CPU.
         """
-        if task.exited:
+        if not self._wake(task):
             return 0
-        if task.state is TaskState.RUNNING and task.on_runqueue():
-            return 0  # already runnable (spurious wake)
-        task.state = TaskState.RUNNING
-        if task.on_runqueue():
-            # Kernel wake_up_process: a task that is still on the run
-            # queue (it blocked but its CPU has not finished switching
-            # away) just becomes runnable again — no insert, no
-            # reschedule_idle; it is already current somewhere.
-            return 0
-        task.wakeup_count += 1
         probes = self.probes
         charge = self.cost.wakeup_cost
         # The wakeup manipulates the run queue under the global lock.
@@ -472,9 +394,7 @@ class Machine:
             cpu.idle_cycles += max(0, at - cpu.idle_since)
         while True:
             cpu.need_resched = False
-            cpu.dispatches += 1
             prev = cpu.current
-            stats = self.scheduler.stats
             # -- runqueue lock ------------------------------------------------
             spin = 0
             hold = 0
@@ -493,72 +413,19 @@ class Machine:
             if self.smp:
                 self.lock_free_at = dec_end
                 self.lock_owner_cpu = cpu.cpu_id
-            stats.lock_spin_cycles += spin
-            next_task = decision.next_task
-            # -- context switch ------------------------------------------------
-            switch = 0
-            target = next_task if next_task is not None else cpu.idle_task
-            if target is not prev:
-                same_mm = target.mm is None or target.mm is prev.mm
-                switch = self.cost.switch_cost(same_mm)
-                stats.switches += 1
-            end = dec_end + switch
+            self.scheduler.stats.lock_spin_cycles += spin
             probes = self.probes
             if probes.lock and (spin or hold):
                 probes.emit_lock(LockEvent(at, cpu.cpu_id, prev, spin, hold))
-            if probes.sched:
-                # migrated_from is captured before the pick overwrites
-                # the chosen task's ``processor`` below.
-                migrated_from = None
-                if (
-                    next_task is not None
-                    and next_task.processor != cpu.cpu_id
-                    and next_task.processor != -1
-                ):
-                    migrated_from = next_task.processor
-                sched_ev = SchedEvent(
-                    at,
-                    start,
-                    dec_end,
-                    end,
-                    cpu.cpu_id,
-                    prev,
-                    next_task,
-                    target,
-                    decision.cost,
-                    decision.eval_cycles,
-                    decision.recalc_cycles,
-                    decision.examined,
-                    switch,
-                    migrated_from,
-                )
-                probes.emit_sched(sched_ev)
-            prev.has_cpu = False
+            # -- context switch ------------------------------------------------
+            end = self._switch(cpu, prev, decision, at, start, dec_end)
+            next_task = decision.next_task
+            self._commit(cpu, prev, next_task)
             if next_task is None:
-                # Idle: park the CPU; wakeups restart it.
-                stats.idle_schedules += 1
-                cpu.current = cpu.idle_task
-                cpu.idle_task.has_cpu = True
+                # Idle: the CPU is parked; wakeups restart it.
                 cpu.idle_since = end
                 cpu.cancel_tick()
                 return
-            # -- accounting for the chosen task ----------------------------------
-            if next_task.processor != cpu.cpu_id:
-                stats.picks_without_affinity += 1
-                if next_task.processor != -1:
-                    stats.migrations += 1
-                    next_task.migration_count += 1
-                    next_task.cache_cold = True
-            if (
-                next_task is not prev
-                and next_task.mm is not None
-                and next_task.mm is prev.mm
-            ):
-                stats.picks_same_mm += 1
-            next_task.has_cpu = True
-            next_task.processor = cpu.cpu_id
-            next_task.dispatch_count += 1
-            cpu.current = next_task
             self._arm_tick(cpu, end)
             resume_at = self._advance_task(cpu, end)
             if resume_at is None:
@@ -760,11 +627,7 @@ class Machine:
         return action
 
     def _do_exit(self, task: Task, t: int) -> int:
-        task.mark_exited()
-        self.scheduler.del_from_runqueue(task)
-        self._live_count -= 1
-        if self._hook_exit:
-            self.scheduler.on_exit(task)
+        self._exit(task)
         if self.probes.syscall:
             cpu_id = task.processor if task.processor >= 0 else -1
             self.probes.emit_syscall(SyscallEvent(t, cpu_id, task, "exit"))
@@ -784,15 +647,8 @@ class Machine:
             return  # tick chain dies; re-armed at next dispatch
         self.total_ticks += 1
         task = cpu.current
-        task.ticks_consumed += 1
-        if task.policy is not SchedPolicy.SCHED_FIFO:
-            if task.counter > 0:
-                task.counter -= 1
-            if task.counter <= 0:
-                task.counter = 0
-                cpu.need_resched = True
-            if self._hook_tick:
-                self.scheduler.on_tick(task, cpu.cpu_id)
+        if self._tick(task, cpu.cpu_id):
+            cpu.need_resched = True
         if cpu.need_resched:
             self.scheduler.stats.preemptions += 1
             if self.probes.sched:

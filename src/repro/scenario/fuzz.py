@@ -59,6 +59,8 @@ __all__ = [
     "CHECKS",
     "generate_scenario",
     "mutate",
+    "replay_executor",
+    "replay_machine",
     "check_scenario",
     "write_quarantine",
     "run_fuzz",
@@ -232,12 +234,12 @@ def _derive_trace(spec: ScenarioSpec, trace_len: int) -> list:
 
 
 def _charge(task: Task, scheduler=None) -> None:
-    """The executor's quantum rule, applied identically on both sides.
+    """The quantum rule, written out independently of the hosts.
 
-    Mirrors ``SchedulerExecutor.charge_slice``: after the counter math,
-    the API-v2 ``on_tick`` hook fires for every non-FIFO charge, so a
-    policy with an internal tick clock (clutch) sees the same number of
-    ticks on the machine-replay side as on the executor side.
+    After the counter math, the API-v2 ``on_tick`` hook fires for every
+    non-FIFO charge, so a policy with an internal tick clock (clutch)
+    sees the same number of ticks on the reference side as on the
+    executor side.
     """
     if task.policy is SchedPolicy.SCHED_FIFO:
         return
@@ -247,7 +249,13 @@ def _charge(task: Task, scheduler=None) -> None:
         scheduler.on_tick(task, task.processor)
 
 
-def _replay_executor(sched_name: str, spec_name: str, trace: Sequence) -> list:
+def replay_executor(sched_name: str, spec_name: str, trace: Sequence) -> list:
+    """Replay an arrival trace through the executor's public API.
+
+    ``trace`` holds ``("arrive", handler)`` and ``("serve",)`` ops; the
+    result is each serve's ``(name, cpu)`` (``None`` for an idle pick)
+    followed by the handlers' final counters.
+    """
     spec = MACHINE_SPECS[spec_name]
     executor = SchedulerExecutor(
         SCHEDULERS[sched_name](), num_cpus=spec.num_cpus, smp=spec.smp
@@ -274,8 +282,10 @@ def _replay_executor(sched_name: str, spec_name: str, trace: Sequence) -> list:
     return order + [[t.counter for t in tasks]]
 
 
-def _replay_machine(sched_name: str, spec_name: str, trace: Sequence) -> list:
-    """Reference host: a real Machine, its real ``wake_up_process``."""
+def replay_machine(sched_name: str, spec_name: str, trace: Sequence) -> list:
+    """The same replay on a reference host: a real Machine's
+    ``wake_up_process``, with a hand-written pick loop and quantum rule
+    standing in for the shared host bookkeeping (the oracle)."""
     scheduler = SCHEDULERS[sched_name]()
     machine = make_machine(scheduler, MACHINE_SPECS[spec_name])
     tasks = [Task(name=f"h{i}") for i in range(_N_HANDLERS)]
@@ -326,8 +336,8 @@ def _replay_machine(sched_name: str, spec_name: str, trace: Sequence) -> list:
 
 def _check_dispatch_parity(spec: ScenarioSpec, trace_len: int) -> list[Divergence]:
     trace = _derive_trace(spec, trace_len)
-    live = _replay_executor(spec.scheduler, spec.machine, trace)
-    reference = _replay_machine(spec.scheduler, spec.machine, trace)
+    live = replay_executor(spec.scheduler, spec.machine, trace)
+    reference = replay_machine(spec.scheduler, spec.machine, trace)
     if live == reference:
         return []
     for step, (got, want) in enumerate(zip(live, reference)):

@@ -15,9 +15,10 @@ while hierarchical designs (Clutch) get the group/tick signals they
 need.  Hosts detect overridden hooks at bind time (``type(sched).on_tick
 is not Scheduler.on_tick``) so a default hook costs nothing on the hot
 path.  The host side of the contract is the :class:`ProbeHost`
-protocol: the structural type every bound "machine" — the real
-:class:`~repro.kernel.machine.Machine`, the serve executor's shim, test
-fakes — satisfies.
+protocol: the structural type every bound "machine" satisfies — the two
+:class:`~repro.kernel.host.SchedHost` hosts (the simulated
+:class:`~repro.kernel.machine.Machine` and the serve executor) and test
+fakes.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class ProbeHost(Protocol):
     """What a scheduler may assume about the machine it is bound to.
 
     This formalises the duck type that used to live in ``getattr``
-    calls: the real :class:`~repro.kernel.machine.Machine`, the serve
-    executor's ``_ExecutorMachine`` shim, and test fakes all satisfy
+    calls: both :class:`~repro.kernel.host.SchedHost` hosts (the
+    simulated Machine and the serve executor) and test fakes satisfy
     it.  ``probes`` is always present (an empty
     :class:`~repro.obs.probe.ProbeSet` when nothing is attached), so
     emission sites test ``host.probes.sched`` directly instead of
@@ -259,9 +260,9 @@ class Scheduler(abc.ABC):
         self.stats.recalc_entries += 1
         machine = self.machine
         assert machine is not None, "scheduler not bound to a machine"
-        # Every bound host satisfies ProbeHost — the full Machine, the
-        # serve executor's shim, and test fakes alike — so probes is
-        # always present (empty ProbeSet when detached).
+        # Every bound host satisfies ProbeHost — the Machine, the serve
+        # executor and test fakes alike — so probes is always present
+        # (empty ProbeSet when detached).
         if machine.probes.sched:
             from ..obs.probe import RecalcEvent
 

@@ -10,12 +10,13 @@ a live server: each connection handler is mapped to a ``Task``, arrivals
 are wakeups, and "which session do we serve next" is answered by the
 policy's own ``schedule()``.
 
-The executor mirrors the Machine's bookkeeping contract exactly —
-``wake_up_process`` wakeup dedup, ``_dispatch``'s ``has_cpu`` /
-``processor`` / migration accounting — so a policy cannot tell whether
-it is bound to the discrete-event machine or to a socket loop.  The
-differential conformance test (``tests/serve/``) holds the two hosts to
-the same dispatch order for identical arrival traces.
+The executor is a :class:`~repro.kernel.host.SchedHost`, like the
+simulated :class:`~repro.kernel.machine.Machine`: wakeup dedup, the
+``has_cpu`` / ``processor`` / migration accounting, the decision event
+and the quantum rule are the same code on both hosts, so a policy cannot
+tell whether it is bound to the discrete-event machine or to a socket
+loop.  The differential conformance test (``tests/serve/``) replays one
+arrival trace through both hosts as a cross-check.
 
 SMP is modelled with *virtual CPUs*: the asyncio loop is one real
 thread, but ``schedule()`` is invoked round-robin over ``num_cpus``
@@ -26,59 +27,22 @@ stealing — exactly as they would on real processors.
 
 from __future__ import annotations
 
+import asyncio
 import time
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..kernel.cost_model import CostModel
 from ..kernel.cpu import CPU
+from ..kernel.host import SchedHost
 from ..kernel.task import SchedPolicy, Task, TaskState
-from ..obs.probe import (
-    DispatchEvent,
-    PreemptEvent,
-    ProbeSet,
-    SchedEvent,
-    WakeupEvent,
-)
-from ..obs.probes import ProfilerProbe
+from ..obs.probe import DispatchEvent, PreemptEvent, WakeupEvent
 from ..sched.base import Scheduler
 from ..sched.stats import SchedStats
 
 __all__ = ["SchedulerExecutor"]
 
 
-class _Clock:
-    """Monotonic virtual time; advanced by decision cost per pick."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now: int = 0
-
-
-class _ExecutorMachine:
-    """The duck-typed machine a :class:`Scheduler` binds against.
-
-    Provides every attribute the scheduler layer touches — ``cost``,
-    ``smp``, ``cpus``, ``live_tasks()``, ``clock``, ``probes`` and the
-    global-lock timeline fields — with none of the event loop.
-    """
-
-    def __init__(self, num_cpus: int, smp: bool, cost: CostModel) -> None:
-        self.cost = cost
-        self.smp = smp
-        self.cpus = [CPU(i) for i in range(num_cpus)]
-        self.clock = _Clock()
-        #: Shared with the owning executor (one pipeline per host).
-        self.probes = ProbeSet()
-        self.lock_free_at = 0
-        self.lock_owner_cpu: Optional[int] = None
-        self._tasks: dict[int, Task] = {}
-
-    def live_tasks(self) -> Iterable[Task]:
-        return (t for t in self._tasks.values() if not t.exited)
-
-
-class SchedulerExecutor:
+class SchedulerExecutor(SchedHost):
     """Dispatch userspace work units through a kernel scheduling policy.
 
     Life cycle of one handler::
@@ -96,6 +60,11 @@ class SchedulerExecutor:
     :meth:`has_runnable` (not ``pick() is None``) as the wait gate,
     because a runnable handler that is still ``cpu.current`` elsewhere
     is invisible to other CPUs' ``schedule()`` by the kernel contract.
+    :meth:`dispatch_forever` is that loop, supervised.
+
+    Virtual time is instantaneous: each pick happens at ``clock.now``,
+    which then steps past the decision's cost.  A deregistered handler
+    leaves the task table.
     """
 
     def __init__(
@@ -104,12 +73,8 @@ class SchedulerExecutor:
         num_cpus: int = 1,
         smp: bool = False,
         cost: Optional[CostModel] = None,
-        prof: Optional[object] = None,
         factory: Optional[Callable[[], Scheduler]] = None,
     ) -> None:
-        if num_cpus < 1:
-            raise ValueError("executor needs at least one virtual CPU")
-        self.scheduler = scheduler
         #: How :meth:`rebuild` replaces a crashed policy instance.  The
         #: default assumes a no-argument scheduler class, which every
         #: registered policy satisfies.
@@ -121,21 +86,12 @@ class SchedulerExecutor:
         self._retired_stats: list[SchedStats] = []
         self.rebuilds = 0
         self._crash_next = False
-        self.machine = _ExecutorMachine(
-            num_cpus, smp, cost if cost is not None else CostModel()
-        )
-        #: The probe pipeline (shared with the duck-typed machine so the
-        #: scheduler layer's emissions land in the same stream).  The
-        #: executor reports the same phases as the simulated machine:
+        #: The probes see the same phases as on the simulated machine:
         #: the schedule() phase split is exact (it is the decision's own
         #: cost), while ``dispatch``/``migrate`` are the cost model's
         #: *imputed* switch and cache-refill charges (the live server
         #: pays them in wall time, not virtual cycles).
-        self.probes = self.machine.probes
-        if prof is not None:
-            self.attach(ProfilerProbe(prof))
-        self._detect_hooks(scheduler)
-        scheduler.bind(self.machine)  # type: ignore[arg-type]
+        super().__init__(scheduler, num_cpus, smp, cost)
         self._cursor = 0
         #: Wall-clock nanoseconds spent inside schedule(), one sample
         #: per invocation (the live pick-latency metric).
@@ -151,7 +107,6 @@ class SchedulerExecutor:
         num_cpus: int = 1,
         smp: bool = False,
         cost: Optional[CostModel] = None,
-        prof: Optional[object] = None,
     ) -> "SchedulerExecutor":
         """Build an executor for a registry-named policy (aliases ok).
 
@@ -168,33 +123,8 @@ class SchedulerExecutor:
             num_cpus=num_cpus,
             smp=smp,
             cost=cost,
-            prof=prof,
             factory=info.factory,
         )
-
-    def _detect_hooks(self, scheduler: Scheduler) -> None:
-        """Detect overridden API-v2 hooks once per bound instance.
-
-        Mirrors the simulated Machine: a policy keeping the base
-        no-ops pays nothing on the register/deregister/charge paths.
-        """
-        sched_cls = type(scheduler)
-        self._hook_tick = sched_cls.on_tick is not Scheduler.on_tick
-        self._hook_fork = sched_cls.on_fork is not Scheduler.on_fork
-        self._hook_exit = sched_cls.on_exit is not Scheduler.on_exit
-
-    # -- observers -----------------------------------------------------------
-
-    def attach(self, probe: object) -> object:
-        """Attach a probe to the executor's pipeline (and return it)."""
-        self.probes.add(probe)
-        probe.on_attach(self)
-        probe.set_scheduler(self.scheduler.name)
-        return probe
-
-    def detach(self, probe: object) -> None:
-        """Remove a probe from the pipeline (idempotent)."""
-        self.probes.remove(probe)
 
     # -- handler lifecycle ---------------------------------------------------
 
@@ -220,27 +150,22 @@ class SchedulerExecutor:
         # A fresh Task is born RUNNING; a fresh handler has no work.
         task.state = TaskState.INTERRUPTIBLE
         task.user = user
-        self.machine._tasks[task.pid] = task
-        if self._hook_fork:
-            self.scheduler.on_fork(task)
+        self._fork(task)
         return task
 
     def deregister(self, task: Task) -> None:
         """Handler gone (connection closed): off the queue, off a CPU."""
         if task.exited:
             return
-        for cpu in self.machine.cpus:
+        for cpu in self.cpus:
             if cpu.current is task:
                 cpu.current = cpu.idle_task
                 cpu.idle_task.has_cpu = True
         task.has_cpu = False
-        self.scheduler.del_from_runqueue(task)
-        task.mark_exited()
-        self.machine._tasks.pop(task.pid, None)
-        if self._hook_exit:
-            self.scheduler.on_exit(task)
+        self._exit(task)
+        self._tasks.pop(task.pid, None)
 
-    # -- wakeup (mirrors Machine.wake_up_process) -----------------------------
+    # -- wakeup ----------------------------------------------------------------
 
     def ready(self, task: Task) -> bool:
         """Work arrived for ``task``; returns True if it was enqueued.
@@ -249,29 +174,23 @@ class SchedulerExecutor:
         queue is a spurious wake; a task still ``on_runqueue`` (it is
         somebody's ``current``) just flips back to RUNNING.
         """
-        if task.exited:
+        if not self._wake(task):
             return False
-        if task.state is TaskState.RUNNING and task.on_runqueue():
-            return False
-        task.state = TaskState.RUNNING
-        if task.on_runqueue():
-            return False
-        task.wakeup_count += 1
         insert = self.scheduler.add_to_runqueue(task)
         probes = self.probes
         if probes.wakeup:
             ev = WakeupEvent(
-                self.machine.clock.now,
+                self.clock.now,
                 -1,
                 -1,
                 task,
-                self.machine.cost.wakeup_cost + insert,
+                self.cost.wakeup_cost + insert,
                 0,
             )
             probes.emit_wakeup(ev)
         return True
 
-    # -- dispatch (mirrors Machine._dispatch bookkeeping) ---------------------
+    # -- dispatch ----------------------------------------------------------------
 
     def pick(self) -> Optional[Task]:
         """Ask the policy for the next handler to serve.
@@ -279,10 +198,9 @@ class SchedulerExecutor:
         Tries each virtual CPU once, round-robin, and returns the first
         non-idle decision; ``None`` when every try came back idle.
         """
-        machine = self.machine
-        ncpu = len(machine.cpus)
+        ncpu = len(self.cpus)
         for _ in range(ncpu):
-            cpu = machine.cpus[self._cursor]
+            cpu = self.cpus[self._cursor]
             self._cursor = (self._cursor + 1) % ncpu
             task = self._pick_on(cpu)
             if task is not None:
@@ -292,110 +210,54 @@ class SchedulerExecutor:
     def _pick_on(self, cpu: CPU) -> Optional[Task]:
         if self._crash_next:
             # Chaos hook (repro.faults): the adapter blows up out of a
-            # pick, exactly like a policy bug would, and the server's
-            # supervisor is expected to rebuild() us.
+            # pick, exactly like a policy bug would, and the supervised
+            # dispatch loop is expected to rebuild() us.
             self._crash_next = False
             raise RuntimeError("injected executor crash (fault plan)")
-        scheduler = self.scheduler
-        stats = scheduler.stats
         prev = cpu.current
         self.picks += 1
         t0 = time.perf_counter_ns()
-        decision = scheduler.schedule(prev, cpu)
+        decision = self.scheduler.schedule(prev, cpu)
         elapsed = time.perf_counter_ns() - t0
         if len(self.pick_ns) < self._pick_ns_cap:
             self.pick_ns.append(elapsed)
-        machine = self.machine
-        picked_at = machine.clock.now
-        machine.clock.now += max(1, decision.cost)
+        # A live pick is instantaneous in virtual time: entry, lock and
+        # decision all land at picked_at.
+        picked_at = self.clock.now
+        self.clock.now += max(1, decision.cost)
+        self._switch(cpu, prev, decision, picked_at, picked_at, picked_at)
         next_task = decision.next_task
-        probes = self.probes
-        if probes.sched:
-            target = next_task if next_task is not None else cpu.idle_task
-            switch = 0
-            if next_task is not None and next_task is not prev:
-                same_mm = next_task.mm is None or next_task.mm is prev.mm
-                switch = machine.cost.switch_cost(same_mm)
-            migrated_from = None
-            if (
-                next_task is not None
-                and next_task.processor != cpu.cpu_id
-                and next_task.processor != -1
-            ):
-                migrated_from = next_task.processor
-            # A live pick is instantaneous in virtual time: every charge
-            # lands at picked_at (start == dec_end == end).
-            ev = SchedEvent(
-                picked_at,
-                picked_at,
-                picked_at,
-                picked_at,
-                cpu.cpu_id,
-                prev,
-                next_task,
-                target,
-                decision.cost,
-                decision.eval_cycles,
-                decision.recalc_cycles,
-                decision.examined,
-                switch,
-                migrated_from,
-            )
-            probes.emit_sched(ev)
-
-        prev.has_cpu = False
+        self._commit(cpu, prev, next_task)
         if next_task is None:
-            stats.idle_schedules += 1
             self.idle_picks += 1
-            cpu.current = cpu.idle_task
-            cpu.idle_task.has_cpu = True
-            return None
-        if next_task is not prev:
-            stats.switches += 1
-        if next_task.processor != cpu.cpu_id:
-            stats.picks_without_affinity += 1
-            if next_task.processor != -1:
-                stats.migrations += 1
-                next_task.migration_count += 1
-                next_task.cache_cold = True
-                if probes.dispatch:
-                    dev = DispatchEvent(
-                        machine.clock.now,
-                        cpu.cpu_id,
-                        next_task,
-                        machine.cost.cache_refill,
-                    )
-                    probes.emit_dispatch(dev)
-        next_task.has_cpu = True
-        next_task.processor = cpu.cpu_id
-        next_task.dispatch_count += 1
-        cpu.current = next_task
-        cpu.dispatches += 1
+        elif next_task.cache_cold:
+            # Migrated: the cache refill is imputed here, once.
+            next_task.cache_cold = False
+            if self.probes.dispatch:
+                dev = DispatchEvent(
+                    self.clock.now,
+                    cpu.cpu_id,
+                    next_task,
+                    self.cost.cache_refill,
+                )
+                self.probes.emit_dispatch(dev)
         return next_task
 
     # -- slice accounting ------------------------------------------------------
 
     def charge_slice(self, task: Task) -> None:
-        """One dispatch slice consumed: the tick-handler's quantum math.
+        """One dispatch slice consumed: the tick handler's quantum rule.
 
-        SCHED_FIFO runs untimed; everyone else burns one counter tick,
-        and hitting zero is recorded as a quantum-expiry preemption —
-        the same event the simulator's tick path counts.
+        The slice that takes the counter to zero is recorded as a
+        quantum-expiry preemption, the same event the simulator's tick
+        path counts.
         """
-        if task.policy is SchedPolicy.SCHED_FIFO:
-            return
-        task.ticks_consumed += 1
-        if task.counter > 0:
-            task.counter -= 1
-            if task.counter == 0:
-                self.scheduler.stats.preemptions += 1
-                if self.probes.sched:
-                    ev = PreemptEvent(
-                        self.machine.clock.now, task.processor, task, 0
-                    )
-                    self.probes.emit_sched(ev)
-        if self._hook_tick:
-            self.scheduler.on_tick(task, task.processor)
+        had_quantum = task.counter > 0
+        if self._tick(task, task.processor) and had_quantum:
+            self.scheduler.stats.preemptions += 1
+            if self.probes.sched:
+                ev = PreemptEvent(self.clock.now, task.processor, task, 0)
+                self.probes.emit_sched(ev)
 
     def release(self, task: Task, blocked: bool) -> None:
         """Return a served handler to the policy's jurisdiction.
@@ -413,6 +275,34 @@ class SchedulerExecutor:
 
     # -- supervision -----------------------------------------------------------
 
+    async def dispatch_forever(
+        self, serve: Callable[[Task], None], work: asyncio.Event
+    ) -> None:
+        """The live dispatch loop: park on ``work``, pick, ``serve``.
+
+        Supervised: a crash out of a pick or a serve rebuilds the
+        scheduler with every handler intact and keeps dispatching; the
+        restart is the metric (``rebuilds``), not the end.  Each turn
+        yields to the event loop so readers and writers make progress
+        between dispatches, the "timer tick" of this userspace kernel.
+        """
+        while True:
+            if not self.has_runnable():
+                work.clear()
+                # Re-check: a ready() may have raced the clear.
+                if not self.has_runnable():
+                    await work.wait()
+                continue
+            try:
+                task = self.pick()
+                if task is not None:
+                    serve(task)
+                # else: a runnable handler exists but this rotation found
+                # nothing pickable (transient on multi-CPU executors).
+            except Exception:  # noqa: BLE001 — supervised: degrade, don't die
+                self.rebuild()
+            await asyncio.sleep(0)
+
     def inject_crash(self) -> None:
         """Arm a one-shot crash: the next ``pick()`` raises."""
         self._crash_next = True
@@ -427,20 +317,17 @@ class SchedulerExecutor:
         analogue of rebuilding the runqueue after a scheduler hot-swap.
         """
         self._retired_stats.append(self.scheduler.stats)
-        machine = self.machine
-        for cpu in machine.cpus:
+        for cpu in self.cpus:
             cpu.current = cpu.idle_task
             cpu.idle_task.has_cpu = True
-        for task in machine._tasks.values():
+        for task in self._tasks.values():
             # Old policy's intrusive links are garbage now: unlink.
             task.has_cpu = False
             task.run_list.next = None
             task.run_list.prev = None
-        self.scheduler = self._factory()
-        self._detect_hooks(self.scheduler)
-        self.scheduler.bind(machine)  # type: ignore[arg-type]
+        self._bind(self._factory())
         self.probes.set_scheduler(self.scheduler.name)
-        for task in machine._tasks.values():
+        for task in self._tasks.values():
             if not task.exited and task.state is TaskState.RUNNING:
                 self.scheduler.add_to_runqueue(task)
         self.rebuilds += 1
@@ -458,23 +345,13 @@ class SchedulerExecutor:
         """True while any registered handler is runnable (the wait gate)."""
         return any(
             t.state is TaskState.RUNNING
-            for t in self.machine._tasks.values()
+            for t in self._tasks.values()
             if not t.exited
         )
-
-    def runnable_count(self) -> int:
-        return sum(
-            1
-            for t in self.machine._tasks.values()
-            if not t.exited and t.state is TaskState.RUNNING
-        )
-
-    def live_count(self) -> int:
-        return sum(1 for _ in self.machine.live_tasks())
 
     def __repr__(self) -> str:
         return (
             f"<SchedulerExecutor {self.scheduler.name} "
-            f"cpus={len(self.machine.cpus)} live={self.live_count()} "
+            f"cpus={len(self.cpus)} live={self.live_count()} "
             f"picks={self.picks}>"
         )

@@ -104,8 +104,6 @@ class ChatServer:
         self.shed_retry_after = 0
         #: Requests that aged past ``config.request_deadline_ms`` queued.
         self.expired = 0
-        #: Scheduler-adapter crashes survived by rebuilding the executor.
-        self.executor_restarts = 0
         self.dropped_fanout = 0
         self.deliveries = 0
         self.protocol_errors = 0
@@ -138,7 +136,8 @@ class ChatServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="serve-dispatch"
+            self.executor.dispatch_forever(self._serve, self._work),
+            name="serve-dispatch",
         )
 
     async def stop(self) -> None:
@@ -298,43 +297,12 @@ class ChatServer:
             except Exception:
                 pass
 
-    # -- the scheduler-driven dispatch loop ---------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        executor = self.executor
-        while True:
-            if not executor.has_runnable():
-                self._work.clear()
-                # Re-check: a ready() may have raced the clear.
-                if not executor.has_runnable():
-                    await self._work.wait()
-                continue
-            self.depth.observe(self.pending)
-            try:
-                task = executor.pick()
-                if task is None:
-                    # Runnable exists but this rotation found nothing
-                    # pickable (transient in multi-CPU configurations).
-                    await asyncio.sleep(0)
-                    continue
-                self._serve(task)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 — supervised: degrade, don't die
-                # The scheduler adapter crashed out of a pick or a
-                # serve.  Rebuild it with every session intact and keep
-                # dispatching; the restart is the metric, not the end.
-                self.executor_restarts += 1
-                executor.rebuild()
-                await asyncio.sleep(0)
-                continue
-            # Yield to the event loop so readers/writers make progress
-            # between dispatches — the "timer tick" of this userspace
-            # kernel.
-            await asyncio.sleep(0)
+    # -- serving one dispatched session ------------------------------------
 
     def _serve(self, task: Task) -> None:
-        """Serve up to ``config.batch`` queued requests of one session."""
+        """Serve up to ``config.batch`` queued requests of one session
+        (the executor's dispatch loop calls this once per pick)."""
+        self.depth.observe(self.pending)
         session: Session = task.user
         budget = self.config.batch
         deadline_s = self.config.request_deadline_ms / 1e3
@@ -393,7 +361,7 @@ class ChatServer:
             "shed": self.shed,
             "shed_retry_after": self.shed_retry_after,
             "expired": self.expired,
-            "executor_restarts": self.executor_restarts,
+            "executor_restarts": self.executor.rebuilds,
             "dropped_fanout": self.dropped_fanout,
             "protocol_errors": self.protocol_errors,
             "sessions_total": self.sessions_total,

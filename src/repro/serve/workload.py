@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..kernel.simulator import MachineSpec
+from ..obs.probes import ProfilerProbe
 from ..sched.base import Scheduler
 from ..sched.stats import SchedStats
 from .config import ServeConfig
@@ -120,9 +121,10 @@ async def _run(
         scheduler,
         num_cpus=spec.num_cpus,
         smp=spec.smp,
-        prof=prof,
         factory=scheduler_factory,
     )
+    if prof is not None:
+        executor.attach(ProfilerProbe(prof))
     if metrics is not None:
         executor.attach(metrics)
     server = ChatServer(executor, config)
@@ -147,7 +149,7 @@ async def _run(
             # Live runs have no idle-cycle ledger; the denominator is
             # all attributed (virtual) work, so the Table-1 fraction
             # reads "scheduler share of modelled kernel work".
-            total = getattr(prof, "total_cycles", executor.machine.clock.now)
+            total = getattr(prof, "total_cycles", executor.clock.now)
             finalize(total, total)
     return LoadtestResult(
         scheduler,

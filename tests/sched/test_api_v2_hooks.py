@@ -112,9 +112,10 @@ class TestProbeHost:
         machine = Machine(VanillaScheduler(), num_cpus=1, smp=False)
         assert isinstance(machine, ProbeHost)
 
-    def test_executor_shim_satisfies_the_protocol(self):
+    def test_executor_satisfies_the_protocol(self):
         executor = SchedulerExecutor(VanillaScheduler())
-        assert isinstance(executor.machine, ProbeHost)
+        assert isinstance(executor, ProbeHost)
+        assert executor.scheduler.machine is executor
 
 
 class TestDefaults:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.harness import SCHEDULERS
 from repro.kernel.task import SchedPolicy, TaskState
+from repro.obs.metrics import MetricsProbe
 from repro.serve import SchedulerExecutor
 
 ALL_SCHEDULERS = sorted(SCHEDULERS)
@@ -172,3 +175,138 @@ class TestQuantumAccounting:
             ex.charge_slice(picked)
             ex.release(picked, blocked=False)
         assert task.dispatch_count == 40
+
+
+class TestSharedHostCounters:
+    """Counters the executor keeps by the simulated Machine's rules."""
+
+    def test_idle_pick_after_serving_counts_a_switch(self):
+        ex = make()
+        metrics = ex.attach(MetricsProbe())
+        task = ex.register("h0")
+        ex.ready(task)
+        assert ex.pick() is task
+        ex.charge_slice(task)
+        ex.release(task, blocked=True)
+        assert ex.pick() is None  # the CPU switches to its idle task
+        assert ex.scheduler.stats.switches == 2
+        assert metrics.snapshot()["counters"]["switches"] == 2
+
+    def test_cpu_dispatches_count_idle_picks(self):
+        ex = make()
+        task = ex.register("h0")
+        ex.ready(task)
+        assert ex.pick() is task
+        ex.release(task, blocked=True)
+        assert ex.pick() is None
+        assert ex.cpus[0].dispatches == 2
+
+    def test_sched_fifo_slice_consumes_a_tick(self):
+        ex = make()
+        task = ex.register(
+            "rt", policy=SchedPolicy.SCHED_FIFO, rt_priority=10
+        )
+        before = task.counter
+        ex.charge_slice(task)
+        assert task.ticks_consumed == 1
+        assert task.counter == before
+
+
+async def _settle(turns=20):
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+async def _stop(loop):
+    loop.cancel()
+    with pytest.raises(asyncio.CancelledError):
+        await loop
+
+
+def _serve_one_batch(ex, served):
+    """A fake ``serve``: record the pick, charge it, put it to bed."""
+
+    def serve(task):
+        served.append(task)
+        ex.charge_slice(task)
+        ex.release(task, blocked=True)
+
+    return serve
+
+
+class TestDispatchForever:
+    """The supervised live loop the chat server and the shard share."""
+
+    def test_parks_on_work_while_nothing_is_runnable(self):
+        async def scenario():
+            ex = make()
+            ex.register("h0")
+            work = asyncio.Event()
+            work.set()  # a stale wake: cleared, then the loop parks
+            served = []
+            loop = asyncio.create_task(
+                ex.dispatch_forever(_serve_one_batch(ex, served), work)
+            )
+            await _settle()
+            assert not work.is_set()
+            assert ex.picks == 0 and served == []
+            assert not loop.done()
+            await _stop(loop)
+
+        asyncio.run(scenario())
+
+    def test_serves_after_ready_and_work_set(self):
+        async def scenario():
+            ex = make()
+            task = ex.register("h0")
+            work = asyncio.Event()
+            served = []
+            loop = asyncio.create_task(
+                ex.dispatch_forever(_serve_one_batch(ex, served), work)
+            )
+            await _settle()
+            # Wrapped on the instance after the loop started, the way a
+            # tracer does: the loop must look both up on every turn.
+            calls = []
+
+            def count(name):
+                inner = getattr(ex, name)
+
+                def counted():
+                    calls.append(name)
+                    return inner()
+
+                setattr(ex, name, counted)
+
+            count("pick")
+            count("has_runnable")
+            ex.ready(task)
+            work.set()
+            await _settle()
+            assert served == [task]
+            assert {"pick", "has_runnable"} <= set(calls)
+            await _stop(loop)
+
+        asyncio.run(scenario())
+
+    def test_crash_rebuilds_once_and_keeps_serving(self):
+        async def scenario():
+            ex = make()
+            tasks = [ex.register(f"h{i}") for i in range(3)]
+            work = asyncio.Event()
+            served = []
+            loop = asyncio.create_task(
+                ex.dispatch_forever(_serve_one_batch(ex, served), work)
+            )
+            ex.inject_crash()
+            for task in tasks:
+                ex.ready(task)
+            work.set()
+            await _settle()
+            assert ex.rebuilds == 1
+            assert sorted(t.name for t in served) == ["h0", "h1", "h2"]
+            assert set(ex.live_tasks()) == set(tasks)
+            assert ex.live_count() == 3
+            await _stop(loop)
+
+        asyncio.run(scenario())

@@ -1,19 +1,25 @@
 """Differential conformance: executor dispatch == Machine dispatch.
 
-Extends the PR-1 differential suite to the live layer.  The same
-arrival trace is replayed through two hosts of the *same* policy:
+Extends the differential suite to the live layer.  The same
+arrival trace is replayed through two hosts of the *same* policy
+(:func:`repro.scenario.fuzz.replay_executor` and
+:func:`~repro.scenario.fuzz.replay_machine`, the replays the
+stress-parity fuzzer runs per scenario):
 
 * the :class:`SchedulerExecutor` public API (``ready``/``pick``/
   ``charge_slice``/``release``), and
 * a reference bound to a **real** :class:`~repro.kernel.machine.Machine`
   whose wakeups go through the machine's actual ``wake_up_process``
-  (the authoritative kernel wake path, dedup rules included), with the
-  ``_dispatch`` bookkeeping applied around direct ``schedule()`` calls.
+  (the authoritative kernel wake path, dedup rules included), with a
+  hand-written pick loop and quantum rule around direct ``schedule()``
+  calls.
 
-If the executor's re-implementation of the wake/dispatch contract
-drifts from the machine's — dedup semantics, ``has_cpu`` windows,
-``prev`` requeue handling — the two hosts disagree on *which handler
-runs next*, and hypothesis hands us the minimal trace that shows it.
+Both hosts share :class:`~repro.kernel.host.SchedHost`, so this is a
+cross-check of that shared bookkeeping against an independent oracle:
+if it drifts from the reference — dedup semantics, ``has_cpu``
+windows, ``prev`` requeue handling — the two disagree on *which
+handler runs next*, and hypothesis hands us the minimal trace that
+shows it.
 """
 
 from __future__ import annotations
@@ -21,11 +27,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.harness import MACHINE_SPECS, SCHEDULERS
-from repro.kernel.simulator import make_machine
-from repro.kernel.task import SchedPolicy, Task, TaskState
-from repro.sched.base import Scheduler
-from repro.serve import SchedulerExecutor
+from repro.scenario.fuzz import replay_executor, replay_machine
 
+#: The replay hosts register three handlers.
 N_HANDLERS = 3
 
 #: A trace op is ("arrive", handler_index) or ("serve",).
@@ -36,96 +40,6 @@ _ops = st.one_of(
 _traces = st.lists(_ops, min_size=1, max_size=40)
 _sched_names = st.sampled_from(sorted(SCHEDULERS))
 _spec_names = st.sampled_from(sorted(MACHINE_SPECS))
-
-
-def _charge(task: Task, scheduler=None) -> None:
-    """The executor's quantum rule, applied identically on both sides.
-
-    Mirrors ``charge_slice`` including the API-v2 ``on_tick`` hook, so
-    policies with an internal tick clock (clutch) stay in step."""
-    if task.policy is SchedPolicy.SCHED_FIFO:
-        return
-    if task.counter > 0:
-        task.counter -= 1
-    if scheduler is not None and type(scheduler).on_tick is not Scheduler.on_tick:
-        scheduler.on_tick(task, task.processor)
-
-
-def replay_executor(sched_name: str, spec_name: str, trace) -> list:
-    spec = MACHINE_SPECS[spec_name]
-    executor = SchedulerExecutor(
-        SCHEDULERS[sched_name](), num_cpus=spec.num_cpus, smp=spec.smp
-    )
-    tasks = [executor.register(f"h{i}") for i in range(N_HANDLERS)]
-    pending = [0] * N_HANDLERS
-    order: list = []
-    for op in trace:
-        if op[0] == "arrive":
-            i = op[1]
-            pending[i] += 1
-            executor.ready(tasks[i])
-        else:
-            picked = executor.pick()
-            if picked is None:
-                order.append(None)
-                continue
-            i = tasks.index(picked)
-            if pending[i] > 0:
-                pending[i] -= 1
-            executor.charge_slice(picked)
-            executor.release(picked, blocked=pending[i] == 0)
-            order.append((picked.name, picked.processor))
-    return order + [[t.counter for t in tasks]]
-
-
-def replay_machine(sched_name: str, spec_name: str, trace) -> list:
-    """Reference host: a real Machine, its real wake_up_process."""
-    scheduler = SCHEDULERS[sched_name]()
-    machine = make_machine(scheduler, MACHINE_SPECS[spec_name])
-    tasks = [Task(name=f"h{i}") for i in range(N_HANDLERS)]
-    for task in tasks:
-        task.state = TaskState.INTERRUPTIBLE
-        machine._tasks[task.pid] = task
-        machine._live_count += 1
-    pending = [0] * N_HANDLERS
-    cursor = 0
-    order: list = []
-    ncpu = len(machine.cpus)
-    for op in trace:
-        if op[0] == "arrive":
-            i = op[1]
-            pending[i] += 1
-            machine.wake_up_process(tasks[i], machine.clock.now)
-        else:
-            picked = None
-            for _ in range(ncpu):
-                cpu = machine.cpus[cursor]
-                cursor = (cursor + 1) % ncpu
-                prev = cpu.current
-                decision = scheduler.schedule(prev, cpu)
-                prev.has_cpu = False
-                nxt = decision.next_task
-                if nxt is None:
-                    cpu.current = cpu.idle_task
-                    cpu.idle_task.has_cpu = True
-                    continue
-                nxt.has_cpu = True
-                nxt.processor = cpu.cpu_id
-                cpu.current = nxt
-                picked = nxt
-                break
-            if picked is None:
-                order.append(None)
-                continue
-            i = tasks.index(picked)
-            if pending[i] > 0:
-                pending[i] -= 1
-            _charge(picked, scheduler)
-            picked.state = (
-                TaskState.RUNNING if pending[i] else TaskState.INTERRUPTIBLE
-            )
-            order.append((picked.name, picked.processor))
-    return order + [[t.counter for t in tasks]]
 
 
 @settings(max_examples=120, deadline=None)
