@@ -250,8 +250,11 @@ class SchedulerExecutor(SchedHost):
 
         The slice that takes the counter to zero is recorded as a
         quantum-expiry preemption, the same event the simulator's tick
-        path counts.
+        path counts.  A handler that closed during its slice is charged
+        nothing, as :meth:`release` leaves it alone.
         """
+        if task.exited:
+            return
         had_quantum = task.counter > 0
         if self._tick(task, task.processor) and had_quantum:
             self.scheduler.stats.preemptions += 1

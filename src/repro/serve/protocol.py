@@ -17,16 +17,21 @@ Server → client operations::
     {"op": "metrics", "counters": {…}, "metrics": {…}}   # live snapshot;
                                          # "metrics" is {} when no
                                          # MetricsProbe is attached
-    {"op": "msg",     …fan-out copy, origin fields preserved…}
+    {"op": "msg",     …}                 # fan-out copy of a sender's frame
     {"op": "shed",    "seq": 7}          # admission control dropped it
     {"op": "shed",    "seq": 7, "retry_after_ms": 2000.0}   # shed under
                                          # a declared overload window
     {"op": "expired", "seq": 7}          # queued past its deadline
     {"op": "bye"}
 
-``t`` is an opaque client timestamp echoed back unmodified; the load
-generator stamps ``time.perf_counter_ns()`` and computes round-trip
-latency when its own fan-out copy returns.
+``ChatServer`` sends each fan-out copy as the line it read from the
+sender, with surrounding whitespace stripped and one ``\\n`` appended,
+not a re-encoding: every room member, the sender included, reads back
+the sender's bytes.  (The cluster router re-encodes the copies it
+delivers, which only a sender that does not use :func:`encode` can
+tell apart.)  ``t`` is an opaque client timestamp carried in them; the
+load generator stamps ``time.perf_counter_ns()`` and computes
+round-trip latency when its own fan-out copy returns.
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ Overload is handled in two bounded stages:
 * **fan-out backpressure** — each session's outbound queue holds at most
   ``config.session_outbox`` frames; a slow consumer's overflow is
   dropped and counted (``dropped_fanout``), never buffered unboundedly.
+
+A chat message is decoded once, for admission and routing, and never
+encoded again: every room member is sent the bytes the server received.
+Each session's writer sends everything queued for it with one write and
+one ``drain()`` per wakeup.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .metrics import DepthTracker
 
 __all__ = ["ChatServer", "Session"]
 
-#: Outbox sentinel: the writer coroutine drains the queue, sees this,
-#: flushes, and closes the transport.
+#: Outbox sentinel, always its last item: the writer coroutine writes
+#: the frames queued before it and closes the transport.
 _CLOSE = object()
 
 
@@ -67,10 +72,11 @@ class Session:
         self.room: Optional[str] = None
         self.user_name = f"anon{sid}"
         #: Requests accepted by admission control, awaiting dispatch:
-        #: ``(message, admitted_at)`` pairs, the timestamp feeding the
-        #: per-request deadline check.
-        self.inbox: deque[tuple[dict[str, Any], float]] = deque()
-        #: Outbound frames awaiting the writer coroutine.
+        #: ``(message, frame, admitted_at)``, where ``frame`` is the line
+        #: received, stripped and ``\n``-terminated, and the timestamp
+        #: feeds the per-request deadline check.
+        self.inbox: deque[tuple[dict[str, Any], bytes, float]] = deque()
+        #: Encoded frames awaiting the writer coroutine, then ``_CLOSE``.
         self.outbox: deque[Any] = deque()
         self.outbox_wake = asyncio.Event()
         self.closing = False
@@ -174,9 +180,9 @@ class ChatServer:
         )
         self._writers.add(pump)
         pump.add_done_callback(self._writers.discard)
-        self._send(session, {"op": protocol.OP_WELCOME, "session": session.sid})
+        self._reply(session, {"op": protocol.OP_WELCOME, "session": session.sid})
         try:
-            while True:
+            while not session.closing:
                 try:
                     line = await reader.readline()
                 except (ConnectionResetError, BrokenPipeError):
@@ -190,13 +196,13 @@ class ChatServer:
                     break
                 if message is None:
                     continue
-                if not self._handle_frame(session, message):
+                if not self._handle_frame(session, message, line):
                     break
         finally:
             self._close_session(session)
 
-    def _handle_frame(self, session: Session, message: dict[str, Any]) -> bool:
-        """Apply one client frame; False ends the connection."""
+    def _handle_frame(self, session: Session, message: dict[str, Any], line: bytes) -> bool:
+        """Apply one client frame, decoded from ``line``; False ends the connection."""
         op = message.get("op")
         if op == protocol.OP_JOIN:
             room = str(message.get("room", "lobby"))
@@ -205,7 +211,7 @@ class ChatServer:
             session.room = room
             members = self.rooms.setdefault(room, set())
             members.add(session)
-            self._send(
+            self._reply(
                 session,
                 {
                     "op": protocol.OP_JOINED,
@@ -223,19 +229,19 @@ class ChatServer:
                 if self._retry_after_ms > 0:
                     reply["retry_after_ms"] = self._retry_after_ms
                     self.shed_retry_after += 1
-                self._send(session, reply)
+                self._reply(session, reply)
                 return True
-            session.inbox.append((message, time.monotonic()))
+            session.inbox.append((message, line.strip() + b"\n", time.monotonic()))
             self.pending += 1
             assert session.task is not None
             self.executor.ready(session.task)
             self._work.set()
             return True
         if op == protocol.OP_METRICS:
-            self._send(session, self._metrics_frame())
+            self._reply(session, self._metrics_frame())
             return True
         if op == protocol.OP_QUIT:
-            self._send(session, {"op": protocol.OP_BYE})
+            self._reply(session, {"op": protocol.OP_BYE})
             return False
         # Unknown op: tolerate (forward-compatible), ignore.
         return True
@@ -263,33 +269,50 @@ class ChatServer:
 
     # -- outbound path ------------------------------------------------------
 
-    def _send(self, session: Session, message: dict[str, Any]) -> bool:
-        """Queue one frame for a session, bounded; False when dropped."""
+    def _send(self, session: Session, frame: bytes) -> bool:
+        """Queue one encoded frame for a session, bounded; False when dropped."""
         if session.closing:
             return False
         if len(session.outbox) >= self.config.session_outbox:
             self.dropped_fanout += 1
             return False
-        session.outbox.append(message)
+        session.outbox.append(frame)
         session.outbox_wake.set()
         return True
 
+    def _reply(self, session: Session, message: dict[str, Any]) -> None:
+        """Encode a control frame once and queue it.
+
+        A frame that cannot be encoded (over ``MAX_LINE_BYTES``) ends
+        this session, and only this one.
+        """
+        try:
+            frame = protocol.encode(message)
+        except protocol.ProtocolError:
+            self._close_session(session)
+            return
+        self._send(session, frame)
+
     async def _writer_loop(self, session: Session) -> None:
         writer = session.writer
+        outbox = session.outbox
         try:
             while True:
                 await session.outbox_wake.wait()
                 session.outbox_wake.clear()
-                while session.outbox:
-                    item = session.outbox.popleft()
-                    if item is _CLOSE:
-                        return
-                    writer.write(protocol.encode(item))
-                    # drain() is the real backpressure edge: a slow
-                    # client stalls only its own pump while frames pile
-                    # into (and overflow out of) its bounded outbox.
-                    await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+                frames = list(outbox)
+                outbox.clear()
+                close = frames[-1] is _CLOSE
+                if close:
+                    frames.pop()
+                writer.write(b"".join(frames))
+                # drain() is the real backpressure edge: a slow client
+                # stalls only its own pump while frames pile into (and
+                # overflow out of) its bounded outbox.
+                await writer.drain()
+                if close:
+                    return
+        except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             try:
@@ -308,32 +331,33 @@ class ChatServer:
         deadline_s = self.config.request_deadline_ms / 1e3
         now = time.monotonic() if deadline_s > 0 else 0.0
         while session.inbox and budget > 0:
-            message, admitted_at = session.inbox.popleft()
+            message, frame, admitted_at = session.inbox.popleft()
             self.pending -= 1
             budget -= 1
             if deadline_s > 0 and now - admitted_at > deadline_s:
                 # Queued past its deadline: answering late would be
                 # worse than answering "expired" now.
                 self.expired += 1
-                self._send(
+                self._reply(
                     session,
                     {"op": protocol.OP_EXPIRED, "seq": message.get("seq")},
                 )
                 continue
-            self._fan_out(session, message)
+            self._fan_out(session, frame)
             self.completed += 1
         self.executor.charge_slice(task)
         self.executor.release(task, blocked=not session.inbox)
 
-    def _fan_out(self, session: Session, message: dict[str, Any]) -> None:
+    def _fan_out(self, session: Session, frame: bytes) -> None:
+        """Queue one message's frame, as received, to its whole room."""
         room = session.room
         if room is None:
             # Not in a room: echo back to the sender only.
-            if self._send(session, message):
+            if self._send(session, frame):
                 self.deliveries += 1
             return
         for member in tuple(self.rooms.get(room, ())):
-            if self._send(member, message):
+            if self._send(member, frame):
                 self.deliveries += 1
 
     # -- introspection -------------------------------------------------------

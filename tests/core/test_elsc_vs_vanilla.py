@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ELSCScheduler, Machine, Task, VanillaScheduler
@@ -56,10 +56,15 @@ task_specs = st.lists(
 
 class TestSelectionAgreement:
     @given(task_specs)
+    # Static goodness 84 and 76 are 8 apart but share ELSC's clamped top
+    # SCHED_OTHER list (DESIGN.md), where the stock scheduler and ELSC
+    # may pick differently.
+    @example([(4, 80, 0)] + [(1, 75, 0)] * 5)
     @settings(max_examples=150, deadline=None)
     def test_same_static_class_of_winner(self, specs):
         """Both schedulers pick a winner from the same static-goodness
-        band: within 4 points (one ELSC list) or both real-time.
+        band: under 8 points apart (adjacent 4-point ELSC lists at
+        most), or in one ELSC list, or both real-time.
 
         Exact task identity can differ (front-of-list bias vs quantised
         lists) — the paper accepts that: "the difference between the
@@ -82,8 +87,10 @@ class TestSelectionAgreement:
             return
         v_static = v_choice.static_goodness()
         e_static = e_choice.static_goodness()
-        # Same 4-point list in the ELSC table.
-        assert abs(v_static - e_static) < 8, (v_static, e_static)
+        table = e_sched.table
+        assert abs(v_static - e_static) < 8 or table.other_index(
+            v_static
+        ) == table.other_index(e_static), (v_static, e_static)
 
     @given(task_specs)
     @settings(max_examples=150, deadline=None)

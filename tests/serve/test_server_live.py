@@ -16,9 +16,11 @@ from repro.serve import (
     ChatServer,
     SchedulerExecutor,
     ServeConfig,
+    protocol,
     run_loadgen,
     run_serve_loadtest,
 )
+from repro.serve.server import _CLOSE, Session
 
 #: Small enough for sub-second runs; duration_s is a deadline, not a
 #: target — clients finish as soon as their schedule is sent and drained.
@@ -119,6 +121,127 @@ def test_session_outbox_bounded_drops_counted():
         == counters["completed"] * config.clients_per_room
     )
     assert report.received <= counters["deliveries"]
+
+
+def test_fan_out_relays_the_received_bytes():
+    """Every room member, the sender included, reads back the sender's
+    frame as received: stripped and ``\\n``-terminated, not re-encoded
+    (the key order, spacing and raw UTF-8 here are not ``encode``'s)."""
+    frame = (
+        b'  {"seq": 7, "user": "u0", "op": "msg", "room": "r0", '
+        + '"pad": "caf\u00e9"}\r\n'.encode()
+    )
+    config = ServeConfig(rooms=1, clients_per_room=3, duration_s=8.0)
+
+    async def scenario():
+        server = ChatServer(SchedulerExecutor(SCHEDULERS["reg"]()), config)
+        await server.start()
+        clients = []
+        for i in range(config.clients_per_room):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                protocol.encode({"op": "join", "room": "r0", "user": f"u{i}"})
+            )
+            for _ in range(2):  # welcome, joined
+                await asyncio.wait_for(reader.readline(), 5.0)
+            clients.append((reader, writer))
+        clients[0][1].write(frame)
+        copies = [
+            await asyncio.wait_for(reader.readline(), 5.0)
+            for reader, _ in clients
+        ]
+        for _, writer in clients:
+            writer.close()
+        await server.stop()
+        return copies
+
+    copies = asyncio.run(scenario())
+    assert copies == [frame.strip() + b"\n"] * config.clients_per_room
+
+
+class _StubWriter:
+    """A stream writer that logs the calls a writer coroutine makes."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def write(self, data: bytes) -> None:
+        self.calls.append(("write", data))
+
+    async def drain(self) -> None:
+        self.calls.append(("drain",))
+
+    def close(self) -> None:
+        self.calls.append(("close",))
+
+
+def _stub_session(server: ChatServer, sid: int = 1) -> Session:
+    session = Session(sid, None, _StubWriter())
+    session.task = server.executor.register(f"session-{sid}", user=session)
+    server.sessions[sid] = session
+    return session
+
+
+def test_writer_loop_writes_each_wakeup_with_one_call():
+    frames = [protocol.encode({"op": "msg", "seq": i}) for i in range(5)]
+
+    async def scenario():
+        server = ChatServer(SchedulerExecutor(SCHEDULERS["reg"]()), ServeConfig())
+        session = _stub_session(server)
+        for frame in frames:
+            assert server._send(session, frame)
+        server._close_session(session)
+        await asyncio.wait_for(server._writer_loop(session), 5.0)
+        return session.writer.calls
+
+    assert asyncio.run(scenario()) == [
+        ("write", b"".join(frames)),
+        ("drain",),
+        ("close",),
+    ]
+
+
+def test_writer_loop_propagates_cancellation():
+    async def scenario():
+        server = ChatServer(SchedulerExecutor(SCHEDULERS["reg"]()), ServeConfig())
+        session = _stub_session(server)
+        pump = asyncio.create_task(server._writer_loop(session))
+        await asyncio.sleep(0)  # parked on its empty outbox
+        pump.cancel()
+        await asyncio.gather(pump, return_exceptions=True)
+        return pump, session.writer.calls
+
+    pump, calls = asyncio.run(scenario())
+    assert pump.cancelled()
+    assert calls == [("close",)]
+
+
+def test_unencodable_reply_ends_only_its_session():
+    """An ``expired`` reply too long to encode closes that session from
+    the dispatch path; the dispatcher and the other sessions go on."""
+    # Each ``é`` is escaped to six bytes: the reply exceeds the limit.
+    seq = "\u00e9" * (protocol.MAX_LINE_BYTES // 2)
+    config = ServeConfig(request_deadline_ms=1.0)
+
+    async def scenario():
+        server = ChatServer(SchedulerExecutor(SCHEDULERS["reg"]()), config)
+        bad, good = _stub_session(server, 1), _stub_session(server, 2)
+        bad.inbox.append(({"op": "msg", "seq": seq}, b"{}\n", 0.0))
+        server.pending = 1
+        server.executor.ready(bad.task)
+        task = server.executor.pick()
+        assert task is bad.task
+        server._serve(task)
+        return server, bad, good
+
+    server, bad, good = asyncio.run(scenario())
+    assert server.expired == 1 and server.pending == 0
+    assert bad.closing and bad.task.exited and list(bad.outbox) == [_CLOSE]
+    assert bad.task.ticks_consumed == 0  # a closed handler is not charged
+    assert not good.closing and not good.task.exited
+    assert list(server.sessions) == [good.sid]
 
 
 def test_metrics_frame_returns_live_snapshot():
