@@ -38,6 +38,12 @@ bit-identical on real workloads):
     stored *back-to-front* (the physical list front is the end of the
     Python list), so the common eligible front insert is an O(1)
     C-level ``append`` and searches iterate with C-level ``reversed``.
+    Removal and the intra-list moves find their task from the physical
+    front too: the task removed is almost always the one ``schedule()``
+    just picked, within ``search_limit`` of the front, so finding it
+    costs a handful of comparisons instead of a walk over the whole
+    list (``list.index`` searches from the Python head, the physical
+    back — the O(n)-per-decision cost ELSC exists to avoid).
     Per-list zero-section sizes (``n_zero``) plus two integer bitmaps
     (``elig_bits`` / ``zero_bits`` — bit *i* set when list *i* has an
     eligible / exhausted resident) replace the linked walkers: cursor
@@ -212,7 +218,7 @@ class ELSCRunqueueTable(_IndexRules):
         if idx is None:
             raise RuntimeError(f"{task.name} is not in the ELSC table")
         lst = self.lists[idx]
-        pos = lst.index(task)
+        pos = self._find(lst, task)
         del lst[pos]
         if pos < self.n_zero[idx]:
             nz = self.n_zero[idx] = self.n_zero[idx] - 1
@@ -234,7 +240,7 @@ class ELSCRunqueueTable(_IndexRules):
         """To the *front of its section* — wins goodness ties."""
         idx = self._require_index(task)
         lst = self.lists[idx]
-        pos = lst.index(task)
+        pos = self._find(lst, task)
         nz = self.n_zero[idx]
         del lst[pos]
         if pos < nz:
@@ -248,13 +254,26 @@ class ELSCRunqueueTable(_IndexRules):
         """To the *end of its section* — loses goodness ties."""
         idx = self._require_index(task)
         lst = self.lists[idx]
-        pos = lst.index(task)
+        pos = self._find(lst, task)
         nz = self.n_zero[idx]
         del lst[pos]
         if pos < nz:
             lst.insert(0, task)  # physical back
         else:
             lst.insert(nz, task)  # end of the eligible section
+
+    @staticmethod
+    def _find(lst: list[Task], task: Task) -> int:
+        """Python index of ``task`` in ``lst``, searched from the physical front.
+
+        Callers have checked that ``task`` is resident, so the walk stops
+        at it; a missing task would wrap round through negative indices
+        and end in IndexError.
+        """
+        pos = len(lst) - 1
+        while lst[pos] is not task:
+            pos -= 1
+        return pos
 
     def _require_index(self, task: Task) -> int:
         idx = self._index.get(task.pid)

@@ -260,14 +260,10 @@ class FaultInjector(Probe):
         assert machine is not None
         delta = seconds_to_cycles(spec.skew_s)
         moved = 0
-        # Snapshot: rescheduling pushes onto the same heap.
-        for _, _, event in list(machine.events._heap):
-            if event.cancelled or event.kind is not EventKind.TIMER:
-                continue
-            payload = event.payload
-            when = max(t, event.time + delta)
+        events = machine.events
+        for event in events.pending(EventKind.TIMER):
             event.cancel()
-            machine.events.schedule(when, EventKind.TIMER, payload)
+            events.schedule(max(t, event.time + delta), EventKind.TIMER, event.payload)
             moved += 1
         outcome = "injected" if moved else "skipped"
         self._record(spec, t, outcome, f"shifted {moved} timers by {spec.skew_s}s")

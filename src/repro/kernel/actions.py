@@ -15,6 +15,11 @@ Example body::
 
 Actions are deliberately dumb data objects — all semantics live in the
 machine — so workloads stay declarative and testable.
+
+The machine dispatches on an action's exact type, so the classes below
+are the whole vocabulary: an instance of a subclass (of :class:`Run` or
+any other) is an "unknown action" error, not the action it extends.  No
+subclass exists in the package, its tests, examples or benchmarks.
 """
 
 from __future__ import annotations

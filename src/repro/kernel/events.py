@@ -12,9 +12,8 @@ completed, invalidating its completion event).
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Optional
 
 __all__ = ["EventKind", "Event", "EventQueue"]
@@ -30,18 +29,29 @@ class EventKind(enum.Enum):
     HALT = "halt"                 # stop the simulation at a horizon
 
 
-@dataclass(order=False)
 class Event:
     """One scheduled occurrence.
 
     ``payload`` is kind-specific: the CPU object for TICK/ACTION_DONE,
-    the task for TIMER, a callable for CALLBACK.
+    the task for TIMER, a callable for CALLBACK.  Events are compared by
+    identity only; the heap orders them by ``(time, sequence)``.
     """
 
-    time: int
-    kind: EventKind
-    payload: Any = None
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "kind", "payload", "cancelled")
+
+    def __init__(
+        self, time: int, kind: EventKind, payload: Any = None, cancelled: bool = False
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.payload = payload
+        self.cancelled = cancelled
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, kind={self.kind!r}, "
+            f"payload={self.payload!r}, cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
@@ -61,22 +71,19 @@ class EventQueue:
         self.popped = 0
         self.skipped = 0
 
-    def push(self, event: Event) -> Event:
-        """Schedule ``event``; returns it for convenient cancellation."""
-        if event.time < 0:
+    def schedule(self, time: int, kind: EventKind, payload: Any = None) -> Event:
+        """Create and push an event; returns it for convenient cancellation."""
+        event = Event(time, kind, payload)
+        if time < 0:
             raise ValueError(f"event in negative time: {event}")
-        heapq.heappush(self._heap, (event.time, next(self._seq), event))
+        heappush(self._heap, (time, next(self._seq), event))
         self.pushed += 1
         return event
-
-    def schedule(self, time: int, kind: EventKind, payload: Any = None) -> Event:
-        """Create and push an event in one call."""
-        return self.push(Event(time, kind, payload))
 
     def pop(self) -> Optional[Event]:
         """Earliest live event, or ``None`` when drained."""
         while self._heap:
-            _, _, event = heapq.heappop(self._heap)
+            _, _, event = heappop(self._heap)
             if event.cancelled:
                 self.skipped += 1
                 continue
@@ -87,9 +94,17 @@ class EventQueue:
     def peek_time(self) -> Optional[int]:
         """Timestamp of the earliest live event without popping it."""
         while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
             self.skipped += 1
         return self._heap[0][0] if self._heap else None
+
+    def pending(self, kind: EventKind) -> list[Event]:
+        """The live events of ``kind``, in heap order, as a snapshot list.
+
+        A list rather than a view, so the caller may cancel and
+        reschedule them while it iterates.
+        """
+        return [e for _, _, e in self._heap if e.kind is kind and not e.cancelled]
 
     def __len__(self) -> int:
         """Number of heap entries, including not-yet-skipped cancelled ones."""

@@ -142,13 +142,13 @@ class KernelHandle:
         seconds: Optional[float] = None,
     ) -> Run:
         """Compute for the given amount of time (exactly one unit given)."""
+        if us is None and seconds is None and cycles is not None:
+            return Run(cycles)
         given = [x for x in (cycles, us, seconds) if x is not None]
         if len(given) != 1:
             raise ValueError("run() takes exactly one of cycles=, us=, seconds=")
-        if cycles is None:
-            secs = seconds if seconds is not None else (us or 0.0) / 1e6
-            cycles = max(1, seconds_to_cycles(secs))
-        return Run(cycles)
+        secs = seconds if seconds is not None else us / 1e6
+        return Run(max(1, seconds_to_cycles(secs)))
 
     def put(self, channel: Channel, item: Any) -> ChannelPut:
         return ChannelPut(channel, item)
@@ -202,8 +202,10 @@ class Machine(SchedHost):
         self.events = EventQueue()
         self.handle = KernelHandle(self)
         self._advancing: Optional[Task] = None
-        self._halted = False
         self.total_ticks = 0
+        from ..sched.goodness import goodness  # local import: layering
+
+        self._goodness = goodness
         #: Prebound deferred-dispatch callbacks, one pair per CPU, so the
         #: defer/resume hot paths schedule events without allocating a
         #: fresh ``partial`` each time.
@@ -326,8 +328,7 @@ class Machine(SchedHost):
                 self._defer_dispatch(cpu, t)
                 return
         # Preempt the weakest current task, if the waked task beats it.
-        from ..sched.goodness import goodness  # local import: layering
-
+        goodness = self._goodness
         best_cpu: Optional[CPU] = None
         best_margin = 0
         for cpu in self.cpus:
@@ -464,13 +465,23 @@ class Machine(SchedHost):
                 return t  # preempted at an action boundary
             action = task.current_action
             if action is None:
-                action = self._pull_next_action(task)
-                if action is None:
-                    # Body returned: the task exits.
-                    return self._do_exit(task, t)
+                # Step the body one yield.  ``env.current`` names the task
+                # only while its body runs: not on the exit path, and not
+                # after the body raises.
+                assert task.gen is not None, f"{task.name} has no generator"
+                value, task.send_value = task.send_value, None
+                self._advancing = task
+                try:
+                    action = task.gen.send(value)
+                except StopIteration:
+                    self._advancing = None
+                    return self._do_exit(task, t)  # the body returned
+                finally:
+                    self._advancing = None
                 task.current_action = action
-            # -- dispatch on action type --------------------------------------
-            if isinstance(action, Run):
+            # -- dispatch on the exact action type, most frequent first -------
+            kind = type(action)
+            if kind is Run:
                 if task.cache_cold:
                     action.remaining += self.cost.cache_refill
                     task.cache_cold = False
@@ -485,24 +496,7 @@ class Machine(SchedHost):
                     t + action.remaining, EventKind.ACTION_DONE, cpu
                 )
                 return None
-            if isinstance(action, ChannelPut):
-                t += syscall
-                chan = action.channel
-                if chan.try_put(action.item):
-                    task.current_action = None
-                    for waiter in chan.readers.collect_wakeable(1):
-                        t += self.wake_up_process(waiter, t, cpu)
-                    continue
-                chan.writers.add(task, exclusive=True)
-                task.state = TaskState.INTERRUPTIBLE
-                if probes.syscall:
-                    probes.emit_syscall(
-                        SyscallEvent(
-                            t, cpu.cpu_id, task, "block", f"put {chan.name}"
-                        )
-                    )
-                return t  # retries the same action when woken
-            if isinstance(action, ChannelGet):
+            if kind is ChannelGet:
                 t += syscall
                 chan = action.channel
                 ok, item = chan.try_get()
@@ -521,28 +515,24 @@ class Machine(SchedHost):
                         )
                     )
                 return t
-            if isinstance(action, CloseChannel):
+            if kind is ChannelPut:
                 t += syscall
-                task.current_action = None
                 chan = action.channel
-                chan.close()
-                # EOF is a broadcast condition: wake every parked reader
-                # (exclusive gets and multi-parked selects alike) so each
-                # retry observes CLOSED instead of sleeping forever.
-                for waiter in chan.readers.collect_wakeable(0):
-                    t += self.wake_up_process(waiter, t, cpu)
-                continue
-            if isinstance(action, SleepFor):
-                t += syscall
-                task.current_action = None
+                if chan.try_put(action.item):
+                    task.current_action = None
+                    for waiter in chan.readers.collect_wakeable(1):
+                        t += self.wake_up_process(waiter, t, cpu)
+                    continue
+                chan.writers.add(task, exclusive=True)
                 task.state = TaskState.INTERRUPTIBLE
-                self.events.schedule(t + action.cycles, EventKind.TIMER, task)
                 if probes.syscall:
                     probes.emit_syscall(
-                        SyscallEvent(t, cpu.cpu_id, task, "block", "sleep")
+                        SyscallEvent(
+                            t, cpu.cpu_id, task, "block", f"put {chan.name}"
+                        )
                     )
-                return t
-            if isinstance(action, YieldCPU):
+                return t  # retries the same action when woken
+            if kind is YieldCPU:
                 t += syscall
                 task.current_action = None
                 task.yield_count += 1
@@ -556,7 +546,17 @@ class Machine(SchedHost):
                     # sys_sched_yield for RT: go to the back of the line.
                     self.scheduler.move_last_runqueue(task)
                 return t
-            if isinstance(action, Select):
+            if kind is SleepFor:
+                t += syscall
+                task.current_action = None
+                task.state = TaskState.INTERRUPTIBLE
+                self.events.schedule(t + action.cycles, EventKind.TIMER, task)
+                if probes.syscall:
+                    probes.emit_syscall(
+                        SyscallEvent(t, cpu.cpu_id, task, "block", "sleep")
+                    )
+                return t
+            if kind is Select:
                 t += syscall
                 # A retry after a wakeup may still be parked on sibling
                 # queues; clear them before re-checking.
@@ -586,7 +586,7 @@ class Machine(SchedHost):
                         )
                     )
                 return t
-            if isinstance(action, WaitOn):
+            if kind is WaitOn:
                 t += syscall
                 task.current_action = None
                 action.waitqueue.add(task, exclusive=action.exclusive)
@@ -599,32 +599,31 @@ class Machine(SchedHost):
                         )
                     )
                 return t
-            if isinstance(action, WakeUp):
+            if kind is WakeUp:
                 t += syscall
                 task.current_action = None
                 for waiter in action.waitqueue.collect_wakeable(action.nr_exclusive):
                     t += self.wake_up_process(waiter, t, cpu)
                 continue
-            if isinstance(action, Exit):
+            if kind is CloseChannel:
+                t += syscall
+                task.current_action = None
+                chan = action.channel
+                chan.close()
+                # EOF is a broadcast condition: wake every parked reader
+                # (exclusive gets and multi-parked selects alike) so each
+                # retry observes CLOSED instead of sleeping forever.
+                for waiter in chan.readers.collect_wakeable(0):
+                    t += self.wake_up_process(waiter, t, cpu)
+                continue
+            if kind is Exit:
                 return self._do_exit(task, t)
+            if not isinstance(action, Action):
+                raise SimulationError(
+                    f"{task.name} yielded {action!r}, which is not an Action"
+                )
+            # Dispatch is on the exact type: an Action subclass is unknown.
             raise SimulationError(f"{task.name} yielded unknown action {action!r}")
-
-    def _pull_next_action(self, task: Task) -> Optional[Action]:
-        """Advance the body generator one step; None when it returned."""
-        assert task.gen is not None, f"{task.name} has no generator"
-        self._advancing = task
-        try:
-            value, task.send_value = task.send_value, None
-            action = task.gen.send(value)
-        except StopIteration:
-            return None
-        finally:
-            self._advancing = None
-        if not isinstance(action, Action):
-            raise SimulationError(
-                f"{task.name} yielded {action!r}, which is not an Action"
-            )
-        return action
 
     def _do_exit(self, task: Task, t: int) -> int:
         self._exit(task)

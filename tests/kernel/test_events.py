@@ -74,6 +74,45 @@ class TestInstrumentation:
         assert q.popped == 1
 
 
+class TestEvent:
+    def test_slotted_and_compared_by_identity(self):
+        a = Event(5, EventKind.TICK, "p")
+        b = Event(5, EventKind.TICK, "p")
+        assert not hasattr(a, "__dict__")
+        assert a != b and a == a
+        assert repr(a) == (
+            "Event(time=5, kind=<EventKind.TICK: 'tick'>, payload='p', cancelled=False)"
+        )
+
+
+class TestPending:
+    def test_live_events_of_one_kind_in_heap_order(self):
+        q = EventQueue()
+        # Increasing times: each push stays where it lands in the heap.
+        first = q.schedule(10, EventKind.TIMER, "a")
+        q.schedule(15, EventKind.TICK, "tick")
+        dead = q.schedule(20, EventKind.TIMER, "dead")
+        third = q.schedule(30, EventKind.TIMER, "c")
+        dead.cancel()
+        assert q.pending(EventKind.TIMER) == [first, third]
+        assert [e.payload for e in q.pending(EventKind.TICK)] == ["tick"]
+        assert q.pending(EventKind.CALLBACK) == []
+
+    def test_snapshot_survives_rescheduling_while_iterating(self):
+        q = EventQueue()
+        for t in (3, 1, 2):
+            q.schedule(t, EventKind.TIMER, t)
+        moved = []
+        for event in q.pending(EventKind.TIMER):
+            event.cancel()
+            moved.append(q.schedule(event.time + 100, EventKind.TIMER, event.payload))
+        assert len(moved) == 3
+        assert q.pending(EventKind.TIMER) == moved
+        # The rescheduled events pop in time order, ties by the new sequence.
+        assert [q.pop().payload for _ in range(3)] == [1, 2, 3]
+        assert q.skipped == 3
+
+
 class TestPropertyBased:
     @given(st.lists(st.integers(0, 10_000), max_size=60))
     @settings(max_examples=100, deadline=None)

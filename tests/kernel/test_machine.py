@@ -14,6 +14,7 @@ from repro import (
     Task,
     VanillaScheduler,
 )
+from repro.kernel.actions import Action, Run
 from repro.kernel.params import CYCLES_PER_TICK, seconds_to_cycles
 from repro.kernel.task import TaskState
 from repro.kernel.waitqueue import WaitQueue
@@ -318,6 +319,43 @@ class TestExitAndErrors:
 
         machine.spawn(body)
         with pytest.raises(SimulationError, match="not an Action"):
+            machine.run()
+
+    def test_body_exception_propagates_and_clears_current(self):
+        machine = up_machine()
+
+        def body(env):
+            yield env.run(us=1)
+            raise ValueError("body failed")
+
+        machine.spawn(body)
+        with pytest.raises(ValueError, match="body failed"):
+            machine.run()
+        with pytest.raises(SimulationError):
+            _ = machine.handle.current
+
+    def test_bare_action_is_unknown(self):
+        machine = up_machine()
+
+        def body(env):
+            yield Action()
+
+        machine.spawn(body)
+        with pytest.raises(SimulationError, match="unknown action"):
+            machine.run()
+
+    def test_action_subclass_is_unknown(self):
+        # Dispatch is on the exact type: a subclass of Run is not a Run.
+        class LongRun(Run):
+            __slots__ = ()
+
+        machine = up_machine()
+
+        def body(env):
+            yield LongRun(10)
+
+        machine.spawn(body)
+        with pytest.raises(SimulationError, match="unknown action"):
             machine.run()
 
     def test_live_count_tracks_exits(self):
