@@ -7,7 +7,7 @@ PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 JOBS ?= 0
 
-.PHONY: install test stress bench bench-compare microbench microbench-full report sweep examples cluster-smoke cluster-heal-smoke clean clean-cache
+.PHONY: install test stress microbench microbench-full report sweep examples cluster-smoke cluster-heal-smoke clean clean-cache
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -20,19 +20,6 @@ test:
 stress:
 	$(PY) -m pytest -q -m "stress or slow"
 	$(PY) tools/stress_parity.py --seed 0 --count 100 --quiet
-
-# The perf-trajectory bench: the pinned matrix + hot-path pairs into a
-# BENCH_<n>.json (docs/performance.md).  BENCH_OUT/BENCH_OLD/BENCH_NEW
-# parameterise the file names.
-BENCH_OUT ?= BENCH_10.json
-BENCH_OLD ?= BENCH_10.json
-BENCH_NEW ?= results/bench-new.json
-
-bench:
-	$(PY) -m repro bench run --out $(BENCH_OUT)
-
-bench-compare:
-	$(PY) -m repro bench compare $(BENCH_OLD) $(BENCH_NEW)
 
 # The paper table/figure micro-benchmarks (pytest-benchmark).
 microbench:

@@ -991,53 +991,6 @@ def cmd_clean_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    """Run the pinned BENCH matrix and write the trajectory file."""
-    from pathlib import Path
-
-    from .bench import run_bench, write_report
-
-    report = run_bench(
-        repeats=args.repeats,
-        smoke=args.smoke,
-        manifest_path=Path(args.manifest),
-        log=lambda msg: print(msg, file=sys.stderr),
-    )
-    target = write_report(report, args.out)
-    pairs = report["pairs"]
-    if pairs:
-        for pair in pairs:
-            print(
-                f"{pair['id']}: {pair['improvement_pct']:+.1f}% "
-                f"({pair['before']['wall_seconds']:.3f}s → "
-                f"{pair['after']['wall_seconds']:.3f}s, "
-                f"identical={pair['identical']})"
-            )
-    print(
-        f"wrote {target} ({len(report['cells'])} cells, "
-        f"{len(pairs)} pairs, matrix {report['matrix_hash'][:12]})"
-    )
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Diff two BENCH files; nonzero exit on regression or divergence."""
-    from .bench import compare_reports, format_comparison, load_report
-
-    old = load_report(args.old)
-    new = load_report(args.new)
-    result = compare_reports(
-        old,
-        new,
-        threshold=args.threshold,
-        sim_only=args.sim_only,
-        allow_matrix_drift=args.allow_matrix_drift,
-        metric=args.metric,
-    )
-    print(format_comparison(result))
-    return 0 if result["ok"] else 1
-
-
 def _gather_scenarios(args: argparse.Namespace):
     """Resolve the run/render target set: (scenarios, any_quarantine).
 
@@ -1537,75 +1490,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --quarantined: delete the listed entries",
     )
     p.set_defaults(func=cmd_clean_cache)
-
-    p = sub.add_parser(
-        "bench",
-        help="perf-trajectory benchmark: run the pinned matrix, diff files",
-        description=(
-            "Measures the simulator itself: wall clock, simulated "
-            "cycles/second, scheduler-cycle share and pick-latency "
-            "percentiles over a pinned cell matrix, plus before/after "
-            "hot-path pairs — written to a schema-versioned "
-            "BENCH_<n>.json.  See docs/performance.md."
-        ),
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    bp = bench_sub.add_parser(
-        "run", help="run the pinned matrix and write the BENCH file"
-    )
-    bp.add_argument(
-        "--out", default="BENCH_8.json", help="BENCH file to write"
-    )
-    bp.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="interleaved repetitions per before/after pair side",
-    )
-    bp.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced CI matrix: deterministic cells only, no pairs",
-    )
-    bp.add_argument(
-        "--manifest",
-        default="results/bench-manifest.jsonl",
-        help="harness manifest the matrix cells are recorded in",
-    )
-    bp.set_defaults(func=cmd_bench_run)
-
-    bp = bench_sub.add_parser(
-        "compare",
-        help="diff two BENCH files; nonzero exit beyond the threshold",
-    )
-    bp.add_argument("old", help="baseline BENCH file")
-    bp.add_argument("new", help="candidate BENCH file")
-    bp.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        help="wall-clock regression threshold (fraction, default 0.15)",
-    )
-    bp.add_argument(
-        "--sim-only",
-        action="store_true",
-        help="gate only the deterministic simulation fingerprints "
-        "(wall clocks are not comparable across machines)",
-    )
-    bp.add_argument(
-        "--allow-matrix-drift",
-        action="store_true",
-        help="diff the common cell subset even if the matrix hashes differ",
-    )
-    bp.add_argument(
-        "--metric",
-        choices=["wall", "cpu"],
-        default="wall",
-        help="timed scalar to gate: wall clock, or process CPU time "
-        "(robust on noisy shared hosts — what CI uses)",
-    )
-    bp.set_defaults(func=cmd_bench_compare)
 
     p = sub.add_parser("schedstat", help="/proc-style scheduler statistics")
     _add_common(p)

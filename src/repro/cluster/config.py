@@ -98,9 +98,9 @@ def build_slot_map(num_shards: int) -> tuple[int, ...]:
 def slot_map_hash(max_shards: int = 8) -> str:
     """SHA-256 over the maps for 1..``max_shards`` shards.
 
-    The placement sibling of the bench ``matrix_hash``: any drift in
-    the ring size, salt, or construction severs every pinned placement
-    at once, and the golden test makes that loud instead of subtle.
+    Any drift in the ring size, salt, or construction severs every
+    pinned placement at once, and the golden test makes that loud
+    instead of subtle.
     """
     payload = {
         str(n): list(build_slot_map(n)) for n in range(1, max_shards + 1)

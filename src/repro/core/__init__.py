@@ -1,6 +1,6 @@
 """The paper's contribution: the ELSC table-based scheduler."""
 
 from .elsc import ELSCScheduler
-from .table import ELSCListTable, ELSCRunqueueTable
+from .table import ELSCRunqueueTable
 
-__all__ = ["ELSCScheduler", "ELSCRunqueueTable", "ELSCListTable"]
+__all__ = ["ELSCScheduler", "ELSCRunqueueTable"]

@@ -35,13 +35,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from typing import Union
-
 from ..kernel.task import SchedPolicy, Task
 from ..sched.base import SchedDecision, Scheduler
-from ..sched.goodness import dynamic_bonus
 from ..sched.registry import register_scheduler
-from .table import ELSCListTable, ELSCRunqueueTable
+from .table import ELSCRunqueueTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.cpu import CPU
@@ -62,12 +59,6 @@ class ELSCScheduler(Scheduler):
     ``search_limit`` overrides the per-list examination bound (paper
     default: half the number of processors plus five); ``up_shortcut``
     disables the uniprocessor memory-map early exit for ablations.
-    ``table_impl`` selects the run-queue table layout: ``"array"`` (the
-    contiguous :class:`~repro.core.table.ELSCRunqueueTable`, default) or
-    ``"list"`` (the historical linked
-    :class:`~repro.core.table.ELSCListTable`); the two are bit-identical
-    in behaviour (``tests/bench/test_runqueue_identity.py``) and form a
-    BENCH before/after pair.
     """
 
     name = "elsc"
@@ -78,30 +69,24 @@ class ELSCScheduler(Scheduler):
         up_shortcut: bool = True,
         table_size: Optional[int] = None,
         other_lists: Optional[int] = None,
-        table_impl: str = "array",
     ) -> None:
         super().__init__()
-        if table_impl not in ("array", "list"):
-            raise ValueError(f"table_impl must be array|list, got {table_impl!r}")
         self._search_limit_override = search_limit
         self._up_shortcut = up_shortcut
         self._table_size = table_size
         self._other_lists = other_lists
-        self.table_impl = table_impl
-        self._array_table = table_impl == "array"
         self.table = self._make_table()
         #: Tasks "on the run queue" by convention but resident in no list
         #: (they are executing on some CPU).
         self._running_onqueue = 0
 
-    def _make_table(self) -> Union[ELSCRunqueueTable, ELSCListTable]:
+    def _make_table(self) -> ELSCRunqueueTable:
         kwargs = {}
         if self._table_size is not None:
             kwargs["size"] = self._table_size
         if self._other_lists is not None:
             kwargs["other_lists"] = self._other_lists
-        cls = ELSCRunqueueTable if self._array_table else ELSCListTable
-        return cls(**kwargs)
+        return ELSCRunqueueTable(**kwargs)
 
     def reset(self) -> None:
         super().reset()
@@ -257,56 +242,15 @@ class ELSCScheduler(Scheduler):
         best: Optional[Task] = None
         best_utility = -1
         yielded_fallback: Optional[Task] = None
-        if self._array_table:
-            # Array layout: iterate the contiguous task list front to
-            # back with static_goodness()/dynamic_bonus() inlined (same
-            # arithmetic; the reference functions stay the oracle in
-            # tests).  The shortcut test moves ahead of the utility
-            # computation — it returns regardless of the utility value.
-            this_cpu = cpu.cpu_id
-            this_mm = prev.mm
-            shortcut = (
-                self._up_shortcut and not self.smp and this_mm is not None
-            )
-            for task in reversed(self.table.lists[idx]):
-                if not rt_list and task.counter == 0:
-                    # The zero-counter tail section begins: "the rest of
-                    # the list is either empty or unusable".
-                    break
-                examined += 1
-                if task.has_cpu and task is not prev:
-                    if examined >= limit:
-                        break
-                    continue
-                if rt_list:
-                    # Real-time search: highest rt_priority wins, no
-                    # bonuses, no yield demotion (section 5.2).
-                    if best is None or task.rt_priority > best.rt_priority:
-                        best = task
-                elif task.yield_pending:
-                    # A yielder runs "only if we cannot find another task".
-                    if yielded_fallback is None:
-                        yielded_fallback = task
-                else:
-                    if shortcut and task.mm is this_mm:
-                        # Step 4, the uniprocessor shortcut: an mm match is
-                        # the best dynamic bonus available — stop looking.
-                        return task, examined
-                    utility = task.counter + task.priority
-                    if task.mm is this_mm and this_mm is not None:
-                        utility += 1
-                    if task.processor == this_cpu:
-                        utility += 15
-                    if utility > best_utility:
-                        best = task
-                        best_utility = utility
-                if examined >= limit:
-                    break
-            if best is not None:
-                return best, examined
-            return yielded_fallback, examined
-        for node in self.table.lists[idx]:
-            task = node.owner
+        # Iterate the list front to back (the Python list stores it
+        # back-to-front) with static_goodness()/dynamic_bonus() inlined:
+        # same arithmetic, and the reference functions stay the oracle in
+        # tests.  The shortcut test moves ahead of the utility
+        # computation — it returns regardless of the utility value.
+        this_cpu = cpu.cpu_id
+        this_mm = prev.mm
+        shortcut = self._up_shortcut and not self.smp and this_mm is not None
+        for task in reversed(self.table.lists[idx]):
             if not rt_list and task.counter == 0:
                 # The zero-counter tail section begins: "the rest of the
                 # list is either empty or unusable".
@@ -326,18 +270,15 @@ class ELSCScheduler(Scheduler):
                 if yielded_fallback is None:
                     yielded_fallback = task
             else:
-                utility = task.static_goodness() + dynamic_bonus(
-                    task, cpu.cpu_id, prev.mm
-                )
-                if (
-                    self._up_shortcut
-                    and not self.smp
-                    and prev.mm is not None
-                    and task.mm is prev.mm
-                ):
+                if shortcut and task.mm is this_mm:
                     # Step 4, the uniprocessor shortcut: an mm match is the
                     # best dynamic bonus available — stop looking.
                     return task, examined
+                utility = task.counter + task.priority
+                if task.mm is this_mm and this_mm is not None:
+                    utility += 1
+                if task.processor == this_cpu:
+                    utility += 15
                 if utility > best_utility:
                     best = task
                     best_utility = utility

@@ -22,51 +22,39 @@ Two cursor pointers make selection and recalculation O(1):
     list matching their *predicted* post-recalculation static goodness
     (``counter//2 + priority`` is what the recalculation loop will give
     them), so that when recalculation finally happens no re-indexing is
-    needed: the scheduler just promotes ``next_top`` to ``top``.
+    needed: each list's zero section becomes its eligible section in
+    place, and for ELSC, which recalculates only when ``top`` is
+    ``None``, ``next_top`` becomes ``top``.
 
 Within a list, non-zero-counter tasks occupy the front section (newest
 first, matching the stock front-of-queue insert) and zero-counter tasks
 the tail section (in exhaustion order); the search loop stops at the
 first zero-counter task it meets.
 
-Two physical layouts implement these semantics (the bench pair in
-BENCH_8.json and ``tests/bench/test_runqueue_identity.py`` pin them
-bit-identical on real workloads):
-
-:class:`ELSCRunqueueTable` (the default)
-    each of the 30 lists is a contiguous Python list of task references
-    stored *back-to-front* (the physical list front is the end of the
-    Python list), so the common eligible front insert is an O(1)
-    C-level ``append`` and searches iterate with C-level ``reversed``.
-    Removal and the intra-list moves find their task from the physical
-    front too: the task removed is almost always the one ``schedule()``
-    just picked, within ``search_limit`` of the front, so finding it
-    costs a handful of comparisons instead of a walk over the whole
-    list (``list.index`` searches from the Python head, the physical
-    back — the O(n)-per-decision cost ELSC exists to avoid).
-    Per-list zero-section sizes (``n_zero``) plus two integer bitmaps
-    (``elig_bits`` / ``zero_bits`` — bit *i* set when list *i* has an
-    eligible / exhausted resident) replace the linked walkers: cursor
-    repair after a removal is a bit-mask and ``bit_length`` instead of
-    an O(lists × length) scan-down.  Section membership is decided by
-    *position*, which is sound because a resident task's counter only
-    changes in the whole-system recalculation (running tasks are
-    physically off the table) — ``check_invariants`` cross-checks the
-    positional sections against the live counters.
-
-:class:`ELSCListTable`
-    the historical layout: 30 circular doubly-linked ``ListHead`` rings
-    threaded through ``task.run_list``, with cursor repair by scanning.
-    Kept as the before-side of the bench pair and as the per-CPU table
-    of the multiqueue scheduler (whose out-of-contract recalculation
-    timing relies on the historical stale-cursor behaviour).
+Each of the 30 lists is a contiguous Python list of task references
+stored *back-to-front* (the physical list front is the end of the Python
+list), so the common eligible front insert is an O(1) C-level ``append``
+and searches iterate with C-level ``reversed``.  Removal and the
+intra-list moves find their task from the physical front too: the task
+removed is almost always the one ``schedule()`` just picked, within
+``search_limit`` of the front, so finding it costs a handful of
+comparisons instead of a walk over the whole list (``list.index``
+searches from the Python head, the physical back — the
+O(n)-per-decision cost ELSC exists to avoid).  Per-list zero-section
+sizes (``n_zero``) plus two integer bitmaps (``elig_bits`` /
+``zero_bits`` — bit *i* set when list *i* has an eligible / exhausted
+resident) make cursor repair after a removal a bit-mask and
+``bit_length`` instead of a scan down the table.  Section membership is
+decided by *position*, which is sound because a resident task's counter
+only changes in the whole-system recalculation (running tasks are
+physically off the table) — ``check_invariants`` cross-checks the
+positional sections against the live counters.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..kernel.listops import ListHead
 from ..kernel.params import (
     ELSC_OTHER_LISTS,
     ELSC_TABLE_SIZE,
@@ -74,51 +62,11 @@ from ..kernel.params import (
 )
 from ..kernel.task import Task
 
-__all__ = ["ELSCRunqueueTable", "ELSCListTable"]
+__all__ = ["ELSCRunqueueTable"]
 
 
-class _IndexRules:
-    """The indexing rules of section 5.1, shared by both layouts."""
-
-    __slots__ = ()
-
-    size: int
-    other_lists: int
-
-    def other_index(self, static_goodness: int) -> int:
-        """List for a SCHED_OTHER task: static goodness / 4, clamped."""
-        return max(0, min(static_goodness // 4, self.other_lists - 1))
-
-    def rt_index(self, rt_priority: int) -> int:
-        """List for a real-time task: one of the ten highest lists."""
-        rt = max(0, min(rt_priority, MAX_RT_PRIORITY))
-        per_list = (MAX_RT_PRIORITY + 1) // (self.size - self.other_lists)
-        return self.other_lists + rt // per_list
-
-    def index_for(self, task: Task) -> int:
-        """Where ``task`` belongs right now."""
-        if task.is_realtime():
-            return self.rt_index(task.rt_priority)
-        return self.other_index(task.counter + task.priority)
-
-    def predicted_index(self, task: Task) -> int:
-        """Where an exhausted task will belong *after* recalculation.
-
-        The recalculation loop sets ``counter = counter//2 + priority``;
-        add_to_runqueue exploits "its knowledge of how the scheduler
-        resets them" to place zero-counter tasks at their future home.
-        """
-        predicted_counter = (task.counter >> 1) + task.priority
-        return self.other_index(predicted_counter + task.priority)
-
-    @staticmethod
-    def is_eligible(task: Task) -> bool:
-        """Selectable without a recalculation: real-time or quantum left."""
-        return task.is_realtime() or task.counter > 0
-
-
-class ELSCRunqueueTable(_IndexRules):
-    """The sorted, table-structured run queue — contiguous-array layout.
+class ELSCRunqueueTable:
+    """The sorted, table-structured run queue.
 
     ``lists[i]`` is a plain Python list storing list *i* back-to-front;
     ``n_zero[i]`` counts its zero-counter tail section (Python indices
@@ -156,6 +104,39 @@ class ELSCRunqueueTable(_IndexRules):
         self.resident = 0
         #: pid -> list index for every resident task.
         self._index: dict[int, int] = {}
+
+    # -- the indexing rules of section 5.1 -------------------------------------------
+
+    def other_index(self, static_goodness: int) -> int:
+        """List for a SCHED_OTHER task: static goodness / 4, clamped."""
+        return max(0, min(static_goodness // 4, self.other_lists - 1))
+
+    def rt_index(self, rt_priority: int) -> int:
+        """List for a real-time task: one of the ten highest lists."""
+        rt = max(0, min(rt_priority, MAX_RT_PRIORITY))
+        per_list = (MAX_RT_PRIORITY + 1) // (self.size - self.other_lists)
+        return self.other_lists + rt // per_list
+
+    def index_for(self, task: Task) -> int:
+        """Where ``task`` belongs right now."""
+        if task.is_realtime():
+            return self.rt_index(task.rt_priority)
+        return self.other_index(task.counter + task.priority)
+
+    def predicted_index(self, task: Task) -> int:
+        """Where an exhausted task will belong *after* recalculation.
+
+        The recalculation loop sets ``counter = counter//2 + priority``;
+        add_to_runqueue exploits "its knowledge of how the scheduler
+        resets them" to place zero-counter tasks at their future home.
+        """
+        predicted_counter = (task.counter >> 1) + task.priority
+        return self.other_index(predicted_counter + task.priority)
+
+    @staticmethod
+    def is_eligible(task: Task) -> bool:
+        """Selectable without a recalculation: real-time or quantum left."""
+        return task.is_realtime() or task.counter > 0
 
     # -- the two "test routines" of section 5.1 ------------------------------------
 
@@ -290,12 +271,13 @@ class ELSCRunqueueTable(_IndexRules):
     def after_recalculate(self) -> None:
         """Promote the pre-positioned exhausted tasks (O(1)).
 
-        Called right after the whole-system counter recalculation —
-        which the scheduler only runs when ``top`` is ``None``, so every
-        resident task sits in a zero section holding a fresh quantum.
-        The zero sections *are* the new eligible sections, and the
-        highest formerly-zero list is the new top (the historical
-        ``top = next_top`` assignment).
+        Called right after the whole-system counter recalculation, which
+        leaves every resident task holding a fresh quantum.  The zero
+        sections *are* the new eligible sections, and ``top`` becomes
+        the highest list holding any task.  ELSC recalculates only when
+        ``top`` is ``None``, where that list is ``next_top``; the
+        multiqueue scheduler recalculates while sibling tables still hold
+        eligible tasks, whose ``top`` must survive.
         """
         zb = self.zero_bits
         n_zero = self.n_zero
@@ -303,9 +285,9 @@ class ELSCRunqueueTable(_IndexRules):
             low = zb & -zb
             n_zero[low.bit_length() - 1] = 0
             zb ^= low
-        self.elig_bits |= self.zero_bits
+        eb = self.elig_bits = self.elig_bits | self.zero_bits
         self.zero_bits = 0
-        self.top = self.next_top
+        self.top = eb.bit_length() - 1 if eb else None
         self.next_top = None
 
     # -- descent & iteration -----------------------------------------------------------
@@ -329,9 +311,9 @@ class ELSCRunqueueTable(_IndexRules):
     def check_invariants(self) -> None:
         """Structural self-check used by tests and property-based fuzzing.
 
-        Beyond the layout-independent invariants (index consistency,
-        section ordering, exact cursors), this cross-checks the cached
-        section counts and bitmaps against the live task counters.
+        Beyond index consistency, section ordering and exact cursors,
+        this cross-checks the cached section counts and bitmaps against
+        the live task counters.
         """
         seen = 0
         max_eligible = None
@@ -390,241 +372,5 @@ class ELSCRunqueueTable(_IndexRules):
     def __repr__(self) -> str:
         return (
             f"<ELSCRunqueueTable resident={self.resident} top={self.top} "
-            f"next_top={self.next_top}>"
-        )
-
-
-class ELSCListTable(_IndexRules):
-    """The sorted run queue in its historical linked-list layout.
-
-    Thirty circular doubly-linked rings threaded through each task's
-    intrusive ``run_list`` node, with cursor repair by scanning down the
-    table.  Semantically interchangeable with
-    :class:`ELSCRunqueueTable` (the bench identity suite pins them
-    bit-identical); kept as the before-side of the BENCH before/after
-    pair and for the multiqueue scheduler's per-CPU tables.
-    """
-
-    __slots__ = ("size", "other_lists", "lists", "top", "next_top", "resident", "_index")
-
-    def __init__(
-        self, size: int = ELSC_TABLE_SIZE, other_lists: int = ELSC_OTHER_LISTS
-    ) -> None:
-        if size <= other_lists:
-            raise ValueError("table must reserve lists above the SCHED_OTHER range")
-        self.size = size
-        self.other_lists = other_lists
-        self.lists = [ListHead() for _ in range(size)]
-        self.top: Optional[int] = None
-        self.next_top: Optional[int] = None
-        #: Number of tasks physically resident in the lists.
-        self.resident = 0
-        #: pid -> list index for every resident task.
-        self._index: dict[int, int] = {}
-
-    # -- the two "test routines" of section 5.1 ------------------------------------
-
-    def list_has_eligible(self, idx: int) -> bool:
-        """Does list ``idx`` contain a task with a non-zero counter (or RT)?"""
-        return any(self.is_eligible(node.owner) for node in self.lists[idx])
-
-    def list_has_zero(self, idx: int) -> bool:
-        """Does list ``idx`` contain an exhausted SCHED_OTHER task?"""
-        return any(
-            not node.owner.is_realtime() and node.owner.counter == 0
-            for node in self.lists[idx]
-        )
-
-    # -- insertion -------------------------------------------------------------------
-
-    def insert(self, task: Task, at_tail: bool = False) -> int:
-        """Link ``task`` into its list; returns the chosen index.
-
-        Eligible tasks go to the *front* of their static-goodness list
-        (like the stock front-of-queue insert); ``at_tail`` forces a tail
-        insert within the eligible section (SCHED_RR rotation).
-        Zero-counter tasks go to the tail of their *predicted* list.
-        """
-        if task.pid in self._index:
-            raise RuntimeError(f"{task.name} is already in the ELSC table")
-        node = task.run_list
-        node.init()
-        if self.is_eligible(task):
-            idx = self.index_for(task)
-            if at_tail:
-                self._insert_section_tail(task, idx)
-            else:
-                node.add(self.lists[idx])
-            if self.top is None or idx > self.top:
-                self.top = idx
-        else:
-            idx = self.predicted_index(task)
-            node.add_tail(self.lists[idx])
-            if self.next_top is None or idx > self.next_top:
-                self.next_top = idx
-        self._index[task.pid] = idx
-        self.resident += 1
-        return idx
-
-    def _first_zero_node(self, idx: int) -> Optional[ListHead]:
-        """First node of the zero-counter tail section of list ``idx``."""
-        for node in self.lists[idx]:
-            owner: Task = node.owner
-            if not owner.is_realtime() and owner.counter == 0:
-                return node
-        return None
-
-    def _insert_section_tail(self, task: Task, idx: int) -> None:
-        """Append an *eligible* task at the end of the eligible section."""
-        boundary = self._first_zero_node(idx)
-        if boundary is None:
-            task.run_list.add_tail(self.lists[idx])
-        else:
-            task.run_list.add_before(boundary)
-
-    # -- removal ----------------------------------------------------------------------
-
-    def remove(self, task: Task) -> None:
-        """Unlink ``task`` and repair ``top``/``next_top`` if needed.
-
-        Leaves the task's run_list pointers dangling (caller applies its
-        on/off-queue convention), exactly like kernel ``list_del``.
-        """
-        idx = self._index.pop(task.pid, None)
-        if idx is None:
-            raise RuntimeError(f"{task.name} is not in the ELSC table")
-        task.run_list.del_()
-        self.resident -= 1
-        if idx == self.top and not self.list_has_eligible(idx):
-            self.top = self._scan_down_eligible(idx - 1)
-        if idx == self.next_top and not self.list_has_zero(idx):
-            self.next_top = self._scan_down_zero(idx - 1)
-
-    def _scan_down_eligible(self, start: int) -> Optional[int]:
-        for i in range(start, -1, -1):
-            if self.list_has_eligible(i):
-                return i
-        return None
-
-    def _scan_down_zero(self, start: int) -> Optional[int]:
-        for i in range(start, -1, -1):
-            if self.list_has_zero(i):
-                return i
-        return None
-
-    # -- intra-list moves (tie biasing) ---------------------------------------------------
-
-    def move_first(self, task: Task) -> None:
-        """To the *front of its section* — wins goodness ties."""
-        idx = self._require_index(task)
-        task.run_list.del_()
-        if self.is_eligible(task):
-            task.run_list.add(self.lists[idx])
-        else:
-            boundary = self._first_zero_node(idx)
-            if boundary is None:
-                task.run_list.add_tail(self.lists[idx])
-            else:
-                task.run_list.add_before(boundary)
-
-    def move_last(self, task: Task) -> None:
-        """To the *end of its section* — loses goodness ties."""
-        idx = self._require_index(task)
-        task.run_list.del_()
-        if self.is_eligible(task):
-            task.run_list.init()
-            self._insert_section_tail_node(task, idx)
-        else:
-            task.run_list.add_tail(self.lists[idx])
-
-    def _insert_section_tail_node(self, task: Task, idx: int) -> None:
-        boundary = self._first_zero_node(idx)
-        if boundary is None:
-            task.run_list.add_tail(self.lists[idx])
-        else:
-            task.run_list.add_before(boundary)
-
-    def _require_index(self, task: Task) -> int:
-        idx = self._index.get(task.pid)
-        if idx is None:
-            raise RuntimeError(f"{task.name} is not in the ELSC table")
-        return idx
-
-    def index_of(self, task: Task) -> Optional[int]:
-        """Which list ``task`` currently occupies (None if not resident)."""
-        return self._index.get(task.pid)
-
-    # -- recalculation bookkeeping ------------------------------------------------------
-
-    def after_recalculate(self) -> None:
-        """Promote the pre-positioned exhausted tasks (O(1)).
-
-        Called right after the whole-system counter recalculation: the
-        zero-counter tasks sitting at their predicted indices now hold
-        fresh quanta, so the highest such list *is* the new top.
-        """
-        self.top = self.next_top
-        self.next_top = None
-
-    # -- descent & iteration -----------------------------------------------------------
-
-    def next_eligible_below(self, idx: int) -> Optional[int]:
-        """The next populated-with-eligible-tasks list under ``idx``."""
-        return self._scan_down_eligible(idx - 1)
-
-    def tasks_in(self, idx: int) -> Iterator[Task]:
-        """Tasks resident in list ``idx``, front to back."""
-        for node in self.lists[idx]:
-            yield node.owner
-
-    def all_resident(self) -> list[Task]:
-        """Every task in the table, highest list first, list order within."""
-        out: list[Task] = []
-        for idx in range(self.size - 1, -1, -1):
-            out.extend(self.tasks_in(idx))
-        return out
-
-    def check_invariants(self) -> None:
-        """Structural self-check used by tests and property-based fuzzing."""
-        seen = 0
-        max_eligible = None
-        max_zero = None
-        for idx in range(self.size):
-            zero_seen = False
-            for node in self.lists[idx]:
-                task: Task = node.owner
-                assert self._index.get(task.pid) == idx, (
-                    f"{task.name} indexed at {self._index.get(task.pid)} but "
-                    f"resident in list {idx}"
-                )
-                seen += 1
-                if self.is_eligible(task):
-                    assert not zero_seen, (
-                        f"eligible {task.name} behind a zero-counter task in "
-                        f"list {idx}"
-                    )
-                    if max_eligible is None or idx > max_eligible:
-                        max_eligible = idx
-                else:
-                    zero_seen = True
-                    if max_zero is None or idx > max_zero:
-                        max_zero = idx
-        assert seen == self.resident == len(self._index), (
-            f"resident mismatch: walked {seen}, resident={self.resident}, "
-            f"index={len(self._index)}"
-        )
-        assert self.top == max_eligible, (
-            f"top={self.top} but highest eligible list is {max_eligible}"
-        )
-        assert self.next_top == max_zero, (
-            f"next_top={self.next_top} but highest zero list is {max_zero}"
-        )
-
-    def __len__(self) -> int:
-        return self.resident
-
-    def __repr__(self) -> str:
-        return (
-            f"<ELSCListTable resident={self.resident} top={self.top} "
             f"next_top={self.next_top}>"
         )

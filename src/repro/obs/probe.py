@@ -67,8 +67,9 @@ KINDS = ("sched", "wakeup", "dispatch", "lock", "fault", "syscall")
 
 #: Events buffered per kind before a batch-capable probe's
 #: ``on_<kind>_batch`` hook drains them.  ``<= 1`` disables batching
-#: (every probe is delivered synchronously) — the bench runner uses
-#: that to measure the before/after of batched emission.
+#: (every probe is delivered synchronously).  A :class:`ProbeSet` reads
+#: it when it is built, so a test can set it to check that batching
+#: never changes what the probes see.
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -333,11 +334,9 @@ class ProbeSet:
         + tuple(f"_buf_{k}" for k in KINDS)
     )
 
-    def __init__(self, batch_size: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.probes: tuple = ()
-        self.batch_size = (
-            DEFAULT_BATCH_SIZE if batch_size is None else batch_size
-        )
+        self.batch_size = DEFAULT_BATCH_SIZE
         for kind in KINDS:
             setattr(self, kind, ())
             setattr(self, f"_sync_{kind}", ())

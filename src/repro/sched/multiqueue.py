@@ -3,15 +3,21 @@
     "Or perhaps a multi-priority-queue solution would be more beneficial
     to help the scheduler scale to multiple processors well."
 
-Each CPU owns a private ELSC-style table; ``schedule()`` on a CPU only
-consults its own table, and wakeups enqueue onto the waked task's
+Each CPU owns a private ELSC table
+(:class:`~repro.core.table.ELSCRunqueueTable`); ``schedule()`` on a CPU
+only consults its own table, and wakeups enqueue onto the waked task's
 last-run CPU (falling back to the least-loaded).  An idle CPU with an
 empty table *steals* from the most loaded one.  Because no structure is
 shared, the global runqueue lock disappears (``uses_global_lock`` is
 False and the machine charges only uncontended lock costs) — this is the
 design direction Linux actually took in 2.4/2.5.
 
-Trade-offs this makes visible in the ablation bench:
+Counters stay global, so a CPU whose table holds only exhausted tasks
+recalculates every task in the system, and every table then promotes
+its zero sections — including tables that still held eligible tasks,
+which keep their ``top``.
+
+Trade-offs this makes visible in the ablations:
 
 * near-zero lock contention at any CPU count;
 * weaker global decisions: a CPU can run a mediocre local task while a
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..core.table import ELSCListTable
+from ..core.table import ELSCRunqueueTable
 from ..kernel.task import SchedPolicy, Task
 from .base import SchedDecision, Scheduler
 from .goodness import dynamic_bonus
@@ -53,18 +59,14 @@ class MultiQueueScheduler(Scheduler):
     def __init__(self, steal: bool = True) -> None:
         super().__init__()
         self.steal = steal
-        self._tables: list[ELSCListTable] = []
+        self._tables: list[ELSCRunqueueTable] = []
         self._home: dict[int, int] = {}  # pid -> table index while queued
         self._running_onqueue = 0
 
     def reset(self) -> None:
         super().reset()
         count = len(self.machine.cpus) if self.machine is not None else 1
-        # The linked-list table layout, deliberately: multiqueue
-        # recalculates while sibling tables still hold eligible tasks
-        # (out of the single-queue contract), and its behaviour is pinned
-        # to the historical stale-cursor promotion that layout implements.
-        self._tables = [ELSCListTable() for _ in range(count)]
+        self._tables = [ELSCRunqueueTable() for _ in range(count)]
         self._home = {}
         self._running_onqueue = 0
 
@@ -151,7 +153,7 @@ class MultiQueueScheduler(Scheduler):
             table = self._tables[table_idx]
             if table.top is None:
                 if table.next_top is not None:
-                    recalc_charge = self._recalculate(table)
+                    recalc_charge = self._recalculate()
                     cost_cycles += recalc_charge
                     recalc_cycles += recalc_charge
                     recalcs += 1
@@ -194,9 +196,9 @@ class MultiQueueScheduler(Scheduler):
             recalc_cycles=recalc_cycles,
         )
 
-    def _recalculate(self, table: ELSCListTable) -> int:
-        # Counters are a global property; the per-CPU structures each
-        # promote their own next_top.
+    def _recalculate(self) -> int:
+        # Counters are a global property; every per-CPU table promotes
+        # its own zero sections.
         cost = super().recalculate_counters()
         for t in self._tables:
             t.after_recalculate()
@@ -216,7 +218,7 @@ class MultiQueueScheduler(Scheduler):
         return best
 
     def _search_table(
-        self, table: ELSCListTable, prev: Task, cpu: "CPU"
+        self, table: ELSCRunqueueTable, prev: Task, cpu: "CPU"
     ) -> tuple[Optional[Task], int]:
         limit = self.search_limit
         idx: Optional[int] = table.top
@@ -227,8 +229,7 @@ class MultiQueueScheduler(Scheduler):
             best_utility = -1
             yielded_fallback: Optional[Task] = None
             seen = 0
-            for node in table.lists[idx]:
-                task: Task = node.owner
+            for task in table.tasks_in(idx):
                 if not rt_list and task.counter == 0:
                     break
                 seen += 1

@@ -3,7 +3,8 @@
 Before this module existed, knowing "which schedulers are there, and
 what does ``'multiqueue'`` mean?" required three separate tables —
 ``harness/registry.py``, the CLI alias map, and per-layer copies in
-``bench``/``scenario``.  Now a scheduler module declares itself once::
+the benchmark and ``scenario``.  Now a scheduler module declares itself
+once::
 
     @register_scheduler("clutch", aliases=("sched_clutch",),
                         summary="XNU-Clutch-style hierarchy")
@@ -11,8 +12,8 @@ what does ``'multiqueue'`` mean?" required three separate tables —
         name = "clutch"
         ...
 
-and the CLI vocabulary, the bench matrix, the scenario catalogue, the
-serve executor, and the cluster config all see it automatically via
+and the CLI vocabulary, the scenario catalogue, the serve executor,
+and the cluster config all see it automatically via
 :func:`all_schedulers` / :func:`resolve` / :func:`create`.
 
 Capability flags (``uses_global_lock``, ``per_cpu_queues``,
@@ -24,8 +25,8 @@ instantiating it.
 Registration order is **not** presentation order: modules may be
 imported in any order (``repro.sched`` imports alphabetically, the
 harness imports by dependency), so :func:`scheduler_names` returns the
-pinned :data:`_PREFERRED_ORDER` first — keeping bench matrix hashes
-and catalogue listings stable — with any out-of-tree registrations
+pinned :data:`_PREFERRED_ORDER` first — keeping CLI vocabularies and
+catalogue listings stable — with any out-of-tree registrations
 sorted alphabetically after.
 """
 

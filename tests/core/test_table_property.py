@@ -146,8 +146,9 @@ def test_random_ops_preserve_invariants(specs, ops):
         elif action == "move_last" and idx in pool.resident:
             table.move_last(task)
             model.move_last(task)
-        elif action == "recalc" and table.top is None:
-            # Only legal at the moment the scheduler would do it.
+        elif action == "recalc":
+            # Any time: the multiqueue scheduler recalculates while other
+            # CPUs' tables still hold eligible tasks.
             for t in pool.tasks:
                 t.counter = (t.counter >> 1) + t.priority
             table.after_recalculate()

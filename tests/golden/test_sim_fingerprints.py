@@ -1,13 +1,13 @@
 """Every registered policy's simulation outputs, pinned bit-for-bit.
 
-``sim_fingerprints.json`` holds the 32 deterministic cells of the
-committed ``BENCH_10.json`` (8 policies x UP/4P x volano/kernbench),
-copied from it and never re-recorded: each entry names the workload,
-scheduler, machine and config of a cell and its fingerprint, the full
-``SchedStats`` plus the workload's extracted metrics.  Each cell is
-recomputed in this process and must match exactly, so a change to the
-kernel loop, a run-queue layout or a policy that alters any simulated
-outcome fails here.
+``sim_fingerprints.json`` holds 32 deterministic cells (8 policies x
+UP/4P x volano/kernbench), copied from ``BENCH_10.json``, a trajectory
+file of the deleted bench command that git history keeps, and never
+re-recorded: each entry names the workload, scheduler, machine and
+config of a cell and its fingerprint, the full ``SchedStats`` plus the
+workload's extracted metrics.  Each cell is recomputed in this process
+and must match exactly, so a change to the kernel loop, a run-queue
+layout or a policy that alters any simulated outcome fails here.
 """
 
 from __future__ import annotations

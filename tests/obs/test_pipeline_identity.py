@@ -20,7 +20,7 @@ from repro.kernel.machine import RunSummary
 from repro.kernel.simulator import make_machine
 from repro.obs import MetricsProbe, ProfilerProbe, TracerProbe
 from repro.sched.stats import SchedStats
-from repro.workloads.volanomark import VolanoConfig, VolanoMark
+from repro.workloads.volanomark import VolanoConfig, VolanoMark, run_volanomark
 
 TINY = {"rooms": 2, "users_per_room": 4, "messages_per_user": 3}
 
@@ -95,6 +95,28 @@ def test_metered_cell_scalars_match_plain_cell(scheduler_name):
     assert plain.metrics == metered.metrics
     assert plain.stats == metered.stats
     assert not plain.metered and metered.metered
+
+
+@pytest.mark.parametrize("spec_name", ["UP", "4P"])
+def test_probe_batch_size_does_not_change_metrics(spec_name, monkeypatch):
+    """Batched delivery is pure mechanism: forcing per-event delivery
+    (``DEFAULT_BATCH_SIZE = 1``, read when a ProbeSet is built) must
+    leave the metrics snapshot and the simulation bit-identical."""
+    from repro.obs import probe as probe_mod
+
+    def metered():
+        probe = MetricsProbe()
+        result = run_volanomark(
+            SCHEDULERS["reg"],
+            MACHINE_SPECS[spec_name],
+            VolanoConfig(rooms=3, users_per_room=6, messages_per_user=4),
+            metrics=probe,
+        )
+        return _stats_tuple(result.sim.stats), probe.to_dict()
+
+    batched = metered()
+    monkeypatch.setattr(probe_mod, "DEFAULT_BATCH_SIZE", 1)
+    assert metered() == batched
 
 
 @pytest.mark.parametrize("spec_name", ["UP", "2P"])

@@ -182,6 +182,24 @@ class TestMultiQueueSpecifics:
         decision = sched.schedule(cpu0.idle_task, cpu0)
         assert decision.next_task is not None
 
+    def test_recalculation_keeps_sibling_tables_eligible(self):
+        """CPU 0's recalculation must not hide CPU 1's fresh task: its
+        table's ``top`` survives, so CPU 1 still picks it."""
+        sched = MultiQueueScheduler()
+        machine = Machine(sched, num_cpus=2, smp=True)
+        cpu0, cpu1 = machine.cpus
+        spent, fresh = Task(name="spent"), Task(name="fresh")
+        spent.counter = 0
+        for home, task in enumerate((spent, fresh)):
+            task.processor = home
+            attach(machine, task)
+            sched.add_to_runqueue(task)
+        decision = sched.schedule(cpu0.idle_task, cpu0)
+        assert (decision.next_task, decision.recalcs) == (spent, 1)
+        spent.has_cpu = True
+        cpu0.current = spent
+        assert sched.schedule(cpu1.idle_task, cpu1).next_task is fresh
+
     def test_steal_disabled(self):
         sched = MultiQueueScheduler(steal=False)
         machine = Machine(sched, num_cpus=2, smp=True)

@@ -150,12 +150,6 @@ class TestCrossLayerReach:
         assert sorted(SCHEDULERS) == sorted(scheduler_names())
         assert SCHEDULER_ALIASES == alias_map()
 
-    def test_bench_matrix_iterates_registry(self):
-        from repro.bench import matrix_cells
-
-        benched = {c.scheduler for c in matrix_cells()}
-        assert benched == set(scheduler_names())
-
     def test_scenario_catalogue_covers_registry(self):
         from repro.scenario.registry import scenario_names
 

@@ -1,12 +1,13 @@
-"""The goodness-row argmax against the reference walk, step by step.
+"""The goodness-row argmax against a reference walk, step by step.
 
-``VanillaScheduler()`` picks with C-level builtins over per-CPU weight
-rows; ``VanillaScheduler(impl="list")`` walks the linked queue and
-evaluates ``goodness()`` from live task fields.  Hypothesis drives both
-through one operation sequence on a host that dispatches the way
-``Machine._dispatch`` does (``has_cpu``, ``processor``, ``cpu.current``)
-and ticks running tasks the way ``Machine._handle_tick`` does, and every
-decision and the queue order must match after every step.
+``VanillaScheduler`` picks with C-level builtins over per-CPU weight
+rows; :class:`ReferenceWalk` is the stock pick spelled out, a linked
+queue walked front to back with ``goodness()`` evaluated from live task
+fields.  Hypothesis drives both through one operation sequence on a
+host that dispatches the way ``Machine._dispatch`` does (``has_cpu``,
+``processor``, ``cpu.current``) and ticks running tasks the way
+``Machine._handle_tick`` does, and every decision, the queue order and
+the scheduler statistics must match after every step.
 
 VolanoMark and kernbench never queue real-time tasks or tasks without
 an mm, so whole-workload fingerprints cannot catch a wrong tie rule;
@@ -24,7 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Machine, MMStruct, Task, VanillaScheduler
+from repro.kernel.listops import ListHead
 from repro.kernel.task import SchedPolicy, TaskState
+from repro.sched.base import SchedDecision, Scheduler
+from repro.sched.goodness import goodness
 from tests.conftest import attach
 
 OTHER, FIFO, RR = SchedPolicy.SCHED_OTHER, SchedPolicy.SCHED_FIFO, SchedPolicy.SCHED_RR
@@ -67,12 +71,93 @@ def scenario(draw, ncpus: int):
     return specs, ops
 
 
+class ReferenceWalk(Scheduler):
+    """The 2.3.99 pick, literally: one ``ListHead`` queue, newly queued
+    tasks at the front; ``prev`` is the first candidate, then every
+    queued task not running on a CPU, front to back, and the first-seen
+    maximum ``goodness()`` wins.  A best goodness of exactly 0
+    recalculates every counter and rescans."""
+
+    name = "reg-walk"
+
+    def reset(self) -> None:
+        super().reset()
+        self.head = ListHead()
+
+    def add_to_runqueue(self, task: Task) -> int:
+        task.run_list.add(self.head)
+        self.stats.enqueues += 1
+        return self.cost.list_op
+
+    def del_from_runqueue(self, task: Task) -> int:
+        if not task.on_runqueue():
+            return 0
+        task.run_list.del_()
+        task.run_list.next = task.run_list.prev = None
+        self.stats.dequeues += 1
+        return self.cost.list_op
+
+    def move_first_runqueue(self, task: Task) -> None:
+        if task.in_a_list():
+            task.run_list.move(self.head)
+
+    def move_last_runqueue(self, task: Task) -> None:
+        if task.in_a_list():
+            task.run_list.move_tail(self.head)
+
+    def schedule(self, prev: Task, cpu) -> SchedDecision:
+        self.stats.schedule_calls += 1
+        self.stats.runqueue_len_sum += self.runqueue_len()
+        cost = examined = recalcs = recalc_cycles = 0
+        runnable = prev is not cpu.idle_task and prev.is_runnable()
+        if runnable and prev.policy is RR and prev.counter == 0:
+            prev.counter = prev.priority
+            self.move_last_runqueue(prev)
+        elif prev is not cpu.idle_task and not runnable:
+            cost += self.del_from_runqueue(prev)
+        while True:
+            best, c = None, -1000
+            if runnable:
+                # A pending yield reads as zero once, then is consumed.
+                best, c = prev, 0 if prev.yield_pending else goodness(prev, cpu.cpu_id, prev.mm)
+                prev.yield_pending = False
+                examined += 1
+            for task in self.runqueue_tasks():
+                if not task.has_cpu:
+                    examined += 1
+                    weight = goodness(task, cpu.cpu_id, prev.mm)
+                    if weight > c:
+                        best, c = task, weight
+            if c:
+                break
+            charge = self.recalculate_counters()
+            cost += charge
+            recalc_cycles += charge
+            recalcs += 1
+        cost += self.cost.vanilla_schedule_cost(examined)
+        self.stats.tasks_examined += examined
+        self.stats.scheduler_cycles += cost
+        return SchedDecision(
+            best, cost, examined, recalcs, self.cost.goodness_eval * examined, recalc_cycles
+        )
+
+    def runqueue_len(self) -> int:
+        return len(self.runqueue_tasks())
+
+    def runqueue_tasks(self) -> list[Task]:
+        return list(self.head.owners())
+
+
+#: The two sides of every comparison, by the queue layout each keeps.
+SIDES = {"array": VanillaScheduler, "list": ReferenceWalk}
+
+
 class Host:
     """One scheduler on a Machine, driven op by op without task bodies;
     every task starts queued (the last spec at the front)."""
 
-    def __init__(self, impl: str, ncpus: int, specs: list[dict]) -> None:
-        self.sched = VanillaScheduler(impl=impl)
+    def __init__(self, side: str, ncpus: int, specs: list[dict]) -> None:
+        self.sched = SIDES[side]()
         self.machine = Machine(self.sched, num_cpus=ncpus, smp=ncpus > 1)
         mms = {None: None, "A": MMStruct("A"), "B": MMStruct("B")}
         self.tasks = []
@@ -139,37 +224,57 @@ class Host:
             self.sched.runqueue_len(),
             [(t.counter, t.has_cpu, t.processor, t.yield_pending) for t in self.tasks],
             [cpu.current.name for cpu in self.machine.cpus],
+            astuple(self.sched.stats),
         )
+
+
+def _replay(ncpus: int, specs: list[dict], ops) -> Host:
+    """Drive both sides through ``ops``; every step must match."""
+    array, walk = Host("array", ncpus, specs), Host("list", ncpus, specs)
+    for step, (op, arg) in enumerate(ops):
+        got, want = array.apply(op, arg), walk.apply(op, arg)
+        assert got == want, f"step {step} {op}({arg})"
+        assert array.state() == walk.state(), f"step {step} {op}({arg})"
+    return array
+
+
+def _other(counter: int) -> dict:
+    """A SCHED_OTHER task spec at priority 20, never run, no mm."""
+    return {"policy": OTHER, "rt_priority": 0, "priority": 20, "counter": counter,
+            "mm": None, "yield_pending": False, "processor": -1}
 
 
 @pytest.mark.parametrize("ncpus", [1, 2, 4])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_array_matches_reference_walk_step_by_step(ncpus, data):
-    specs, ops = data.draw(scenario(ncpus))
-    array = Host("array", ncpus, specs)
-    walk = Host("list", ncpus, specs)
-    for step, (op, arg) in enumerate(ops):
-        got, want = array.apply(op, arg), walk.apply(op, arg)
-        assert got == want, f"step {step} {op}({arg})"
-        assert array.state() == walk.state(), f"step {step} {op}({arg})"
+    _replay(ncpus, *data.draw(scenario(ncpus)))
 
 
 def _near_tie(
-    impl: str, sibling_counter: int, sibling_in_front: bool
+    side: str,
+    sibling_counter: int,
+    sibling_in_front: bool,
+    stranger_counter: int = 10,
+    prev_counter: int | None = None,
 ) -> tuple[Task, Task, Task]:
-    """A stranger at weight 30 and a same-mm sibling, queued in either
-    order; prev blocks, so it is no candidate, but its mm still decides
-    who earns the +1 bonus."""
-    sched = VanillaScheduler(impl=impl)
+    """A stranger and a same-mm sibling, queued in either order.  By
+    default prev blocks, so it is no candidate, but its mm still decides
+    who earns the +1 bonus.  With ``prev_counter`` prev keeps running
+    and is the first candidate, and all three last ran on CPU 0 (+15)."""
+    sched = SIDES[side]()
     machine = Machine(sched, num_cpus=1, smp=False)
     cpu = machine.cpus[0]
     mm = MMStruct()
     prev = Task(name="prev", mm=mm)
     stranger = Task(name="stranger", mm=MMStruct())
-    stranger.counter = 10  # weight 30
+    stranger.counter = stranger_counter  # weight 20 + counter
     sibling = Task(name="sibling", mm=mm)
     sibling.counter = sibling_counter  # weight 20 + counter, +1 after prev
+    if prev_counter is not None:
+        prev.counter = prev_counter
+        for task in (prev, stranger, sibling):
+            task.processor = 0
     attach(machine, prev, stranger, sibling)
     sched.add_to_runqueue(prev)
     prev.has_cpu = True
@@ -177,26 +282,40 @@ def _near_tie(
     queued = (stranger, sibling) if sibling_in_front else (sibling, stranger)
     for task in queued:
         sched.add_to_runqueue(task)  # the later add is the front
-    prev.state = TaskState.INTERRUPTIBLE
+    if prev_counter is None:
+        prev.state = TaskState.INTERRUPTIBLE
     decision = sched.schedule(prev, cpu)
     return decision.next_task, stranger, sibling
 
 
-@pytest.mark.parametrize("impl", ["array", "list"])
-def test_same_mm_task_one_below_in_front_of_stranger_wins(impl):
-    winner, _stranger, sibling = _near_tie(impl, 9, sibling_in_front=True)
+@pytest.mark.parametrize("side", SIDES)
+def test_same_mm_task_one_below_in_front_of_stranger_wins(side):
+    winner, _stranger, sibling = _near_tie(side, 9, sibling_in_front=True)
     assert winner is sibling
 
 
-@pytest.mark.parametrize("impl", ["array", "list"])
-def test_same_mm_task_one_below_behind_stranger_loses(impl):
-    winner, stranger, _sibling = _near_tie(impl, 9, sibling_in_front=False)
+@pytest.mark.parametrize("side", SIDES)
+def test_same_mm_task_one_below_behind_stranger_loses(side):
+    winner, stranger, _sibling = _near_tie(side, 9, sibling_in_front=False)
     assert winner is stranger
 
 
-@pytest.mark.parametrize("impl", ["array", "list"])
-def test_same_mm_task_level_with_stranger_wins_from_behind(impl):
-    winner, _stranger, sibling = _near_tie(impl, 10, sibling_in_front=False)
+@pytest.mark.parametrize("side", SIDES)
+def test_same_mm_task_level_with_stranger_wins_from_behind(side):
+    winner, _stranger, sibling = _near_tie(side, 10, sibling_in_front=False)
+    assert winner is sibling
+
+
+@pytest.mark.parametrize("sibling_in_front", [True, False], ids=["in_front", "behind"])
+@pytest.mark.parametrize("side", SIDES)
+def test_same_mm_bonus_beats_running_prev_level_with_the_row(side, sibling_in_front):
+    """prev runs at goodness 46 (counter 10, +15, +1); the sibling and
+    the stranger wait at row 46 (counter 11, +15).  Only the sibling's
+    +1 beats prev, which wins every tie: an argmax that scores the
+    bonus winner at its row value hands the pick back to prev."""
+    winner, _stranger, sibling = _near_tie(
+        side, 11, sibling_in_front, stranger_counter=11, prev_counter=10
+    )
     assert winner is sibling
 
 
@@ -204,13 +323,15 @@ def test_recalculation_keeps_other_cpus_current_masked():
     """CPU 1 runs the only fresh task, so CPU 0's pick finds every
     candidate exhausted and recalculates; the rebuilt rows must not
     expose CPU 1's current to the rescan (nor count it as examined)."""
-    specs = [
-        {"policy": OTHER, "rt_priority": 0, "priority": 20, "counter": counter,
-         "mm": None, "yield_pending": False, "processor": -1}
-        for counter in (0, 0, 30)
-    ]
-    array, walk = Host("array", 2, specs), Host("list", 2, specs)
-    for op, arg in (("schedule", 1), ("schedule", 0)):
-        assert array.apply(op, arg) == walk.apply(op, arg)
-        assert array.state() == walk.state()
+    specs = [_other(0), _other(0), _other(30)]
+    array = _replay(2, specs, [("schedule", 1), ("schedule", 0)])
     assert array.sched.stats.recalc_entries == 1
+
+
+def test_yielded_prev_keeps_its_affinity_in_the_rows():
+    """t0 (41) yields to t1 (40) and its entries are rewritten on the way
+    out; with both at +15 on CPU 0, t0 must then beat the running t1.
+    Random sequences rarely line up yield, counters and two picks."""
+    ops = [("schedule", 0), ("yield", 0), ("schedule", 0), ("schedule", 0)]
+    array = _replay(1, [_other(21), _other(20)], ops)
+    assert array.machine.cpus[0].current.name == "t0"
