@@ -26,7 +26,7 @@ replaces.
 The simulator must *charge* the O(n) scan — ``examined`` and the cycles
 billed for it — but it need not *pay* for it as a Python loop.  The
 queue is a front-first ``list[Task]``, and for each CPU ``c`` two int
-rows run parallel to it:
+rows run parallel to it, with a count of one of them:
 
 ``rows[c][i]``
     goodness of queued task ``i`` on CPU ``c`` without the mm bonus:
@@ -36,14 +36,21 @@ rows run parallel to it:
 ``keys[c][i]``
     ``rows[c][i] << 20 | slot``, where ``slot`` numbers the task's
     address space from 1 (0 for no mm, and for the real-time and
-    exhausted tasks that earn no mm bonus).
+    exhausted tasks that earn no mm bonus);
+``counts[c]``
+    the number of entries of ``keys[c]`` holding each key, masked
+    entries (below) not counted.
 
 A pick on CPU ``c`` for a caller whose mm has slot ``s`` is then a few
-C-level builtin calls (:func:`_argmax`): ``m = max(row)``; the
-front-most key ``m << 20 | s`` is an mm-bonus winner at ``m + 1``;
-failing that, the winner is the earlier of ``row.index(m)`` and a key
-``(m - 1) << 20 | s`` in front of it.  That is ``goodness()``'s argmax
-under the front-of-queue tie rule, exactly;
+C-level builtin calls (:func:`_argmax`).  Keys order by weight first,
+so the best weight is ``m = max(counts) >> 20``, read from the distinct
+keys rather than the whole row.  If ``counts`` holds ``m << 20 | s``,
+the front-most such key is an mm-bonus winner at ``m + 1``; failing
+that, the winner is the earlier of ``row.index(m)`` and a key
+``(m - 1) << 20 | s`` in front of it, searched only if ``counts`` holds
+one.  A bonus miss thus costs two dict lookups, not a walk over the
+rest of the row.  That is ``goodness()``'s argmax under the
+front-of-queue tie rule, exactly;
 ``tests/sched/test_vanilla_argmax.py`` checks it step by step against a
 literal ``ListHead`` walk that evaluates ``goodness()`` from live task
 fields.
@@ -55,7 +62,8 @@ every row, and the parameter syscalls requeue through ``del``/``add``.
 A running task's entries do go stale, so for the length of a call the
 scan **masks** (writes -1 over) the entries of every queued task some
 CPU is running — each ``cpu.current`` with ``has_cpu`` set, ``prev``
-included — and puts them back on the way out.  ``prev``'s entries are
+included — and puts them back on the way out; a masked entry is not
+counted, so ``counts`` names only candidates.  ``prev``'s entries are
 rewritten from its live fields then, in every CPU's rows, since ``prev``
 is the task that just stopped running here.  ``examined`` is then
 ``len(queue) - masked`` (+1 for an eligible ``prev``), exact on every
@@ -101,37 +109,55 @@ _SLOT_BITS = 20
 _MASKED = -1
 
 
-def _argmax(row: list[int], keys: list[int], slot: int) -> tuple[int, int]:
+def _argmax(
+    row: list[int], keys: list[int], slot: int, counts: dict[int, int]
+) -> tuple[int, int]:
     """``(index, goodness)`` of the first-seen best entry; ``(-1, -1)``
     when every entry is masked.
 
     Goodness is ``row[i]``, plus the +1 mm bonus where ``keys[i]``
     carries ``slot`` (the searches below rely on the bonus being 1).
-    Sentinels keep the misses allocation- and exception-free: the bonus
-    search past ``i`` ends on an appended ``hi``, and the search in
-    front of ``i`` ends on ``lo`` written over ``keys[i]``.
+    ``counts`` holds the unmasked keys, so it names the best weight and
+    says whether a bonus key exists before any row is searched: the
+    first ``hi`` lies at or after ``i``, the first entry of weight
+    ``m``, and the search in front of ``i`` ends on ``lo`` written over
+    ``keys[i]``.
     """
-    m = max(row) if row else _MASKED
-    if m < 0:
+    if not counts:
         return -1, -1
+    m = max(counts) >> _SLOT_BITS
     i = row.index(m)
     if slot and m:
         hi = m << _SLOT_BITS | slot
-        if keys[i] == hi:
-            return i, m + 1
-        keys.append(hi)
-        j = keys.index(hi, i + 1)
-        keys.pop()
-        if j < len(row):
-            return j, m + 1
-        if i:
-            lo = (m - 1) << _SLOT_BITS | slot
+        if hi in counts:
+            return keys.index(hi, i), m + 1
+        lo = hi - (1 << _SLOT_BITS)
+        if i and lo in counts:
             key = keys[i]
             keys[i] = lo
             j = keys.index(lo)
             keys[i] = key
             return j, m
     return i, m
+
+
+def _drop(counts: dict[int, int], key: int) -> None:
+    """Take one ``key`` off ``counts``, deleting it at zero."""
+    n = counts[key] - 1
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
+
+
+def _mask(
+    row: list[int], keys: list[int], counts: dict[int, int], i: int
+) -> tuple[int, int, int]:
+    """Mask entry ``i``; returns ``(i, weight, key)`` to restore it."""
+    saved = i, row[i], keys[i]
+    _drop(counts, saved[2])
+    row[i] = keys[i] = _MASKED
+    return saved
 
 
 @register_scheduler(
@@ -148,8 +174,8 @@ class VanillaScheduler(Scheduler):
         super().__init__()
         #: The queue, front first.
         self._q: list[Task] = []
-        #: ``(cpu_id, row, keys)`` per CPU (module docstring).
-        self._lanes: list[tuple[int, list[int], list[int]]] = []
+        #: ``(cpu_id, row, keys, counts)`` per CPU (module docstring).
+        self._lanes: list[tuple[int, list[int], list[int], dict[int, int]]] = []
         #: Address space -> key slot (from 1; 0 is no mm).
         self._slots: dict["MMStruct", int] = {}
         #: Per CPU, the other CPUs (whose currents it masks).
@@ -161,7 +187,7 @@ class VanillaScheduler(Scheduler):
         ncpus = max(1, len(cpus))
         self._peers = [[p for p in cpus if p is not cpu] for cpu in cpus]
         self._q = []
-        self._lanes = [(c, [], []) for c in range(ncpus)]
+        self._lanes = [(c, [], [], {}) for c in range(ncpus)]
         self._slots = {}
 
     # -- the per-CPU rows -------------------------------------------------------
@@ -190,16 +216,19 @@ class VanillaScheduler(Scheduler):
     def _put(self, task: Task, i: int) -> None:
         """Rewrite ``task``'s entries at index ``i`` of every row."""
         weight, proc, slot = self._encode(task)
-        for c, row, keys in self._lanes:
+        for c, row, keys, counts in self._lanes:
+            if keys[i] != _MASKED:
+                _drop(counts, keys[i])
             w = weight + PROC_CHANGE_PENALTY if c == proc else weight
             row[i] = w
-            keys[i] = w << _SLOT_BITS | slot
+            key = keys[i] = w << _SLOT_BITS | slot
+            counts[key] = counts.get(key, 0) + 1
 
     def _move(self, task: Task, to: int) -> None:
         q = self._q
         i = q.index(task)
         q.insert(to, q.pop(i))
-        for _, row, keys in self._lanes:
+        for _, row, keys, _ in self._lanes:
             row.insert(to, row.pop(i))
             keys.insert(to, keys.pop(i))
 
@@ -211,10 +240,12 @@ class VanillaScheduler(Scheduler):
             raise RuntimeError(f"{task.name} is already on the run queue")
         self._q.insert(0, task)
         weight, proc, slot = self._encode(task)
-        for c, row, keys in self._lanes:
+        for c, row, keys, counts in self._lanes:
             w = weight + PROC_CHANGE_PENALTY if c == proc else weight
             row.insert(0, w)
-            keys.insert(0, w << _SLOT_BITS | slot)
+            key = w << _SLOT_BITS | slot
+            keys.insert(0, key)
+            counts[key] = counts.get(key, 0) + 1
         # Self-loop sentinel: "on the run queue, in a list" for the
         # kernel's pointer conventions, without a linked structure.
         node = task.run_list
@@ -228,9 +259,9 @@ class VanillaScheduler(Scheduler):
             return 0
         i = self._q.index(task)
         del self._q[i]
-        for _, row, keys in self._lanes:
+        for _, row, keys, counts in self._lanes:
             del row[i]
-            del keys[i]
+            _drop(counts, keys.pop(i))
         task.run_list.next = None
         task.run_list.prev = None
         self.stats.dequeues += 1
@@ -274,7 +305,7 @@ class VanillaScheduler(Scheduler):
         this_cpu = cpu.cpu_id
         this_mm = prev.mm
         q = self._q
-        _, row, keys = self._lanes[this_cpu]
+        _, row, keys, counts = self._lanes[this_cpu]
         slot = self._slots.get(this_mm, 0)
         # For this call, mask every queued task some CPU is running: its
         # entries went stale while it ran (see module docstring).  Other
@@ -283,13 +314,11 @@ class VanillaScheduler(Scheduler):
         for peer in self._peers[this_cpu]:
             cur = peer.current
             if cur.has_cpu and cur.run_list.next is not None:
-                i = q.index(cur)
-                hidden.append((i, row[i], keys[i]))
-                row[i] = keys[i] = _MASKED
+                hidden.append(_mask(row, keys, counts, q.index(cur)))
         prev_i = -1
         if prev.has_cpu and prev.run_list.next is not None:
             prev_i = q.index(prev)
-            row[prev_i] = keys[prev_i] = _MASKED
+            _mask(row, keys, counts, prev_i)
         visible = len(q) - len(hidden) - (prev_i >= 0)
 
         for _round in range(_MAX_REPEATS):
@@ -307,12 +336,11 @@ class VanillaScheduler(Scheduler):
                     c = goodness(prev, this_cpu, this_mm)
                 next_task = prev
                 examined += 1
-            i, weight = _argmax(row, keys, slot)
+            i, weight = _argmax(row, keys, slot, counts)
             while i >= 0 and q[i].has_cpu:
-                hidden.append((i, row[i], keys[i]))
-                row[i] = keys[i] = _MASKED
+                hidden.append(_mask(row, keys, counts, i))
                 visible -= 1
-                i, weight = _argmax(row, keys, slot)
+                i, weight = _argmax(row, keys, slot, counts)
             examined += visible
             if i >= 0 and weight > c:
                 c = weight
@@ -327,17 +355,16 @@ class VanillaScheduler(Scheduler):
             recalc_cycles += recalc_charge
             recalcs += 1
             # The rebuild rewrote the masked entries: save and mask again.
-            hidden = [(i, row[i], keys[i]) for i, _, _ in hidden]
-            for i, _, _ in hidden:
-                row[i] = keys[i] = _MASKED
+            hidden = [_mask(row, keys, counts, i) for i, _, _ in hidden]
             if prev_i >= 0:
-                row[prev_i] = keys[prev_i] = _MASKED
+                _mask(row, keys, counts, prev_i)
         else:
             raise RuntimeError("vanilla scheduler failed to converge")
 
         for i, weight, key in hidden:
             row[i] = weight
             keys[i] = key
+            counts[key] = counts.get(key, 0) + 1
         if prev_i >= 0:
             # prev's counter ticked down (and its processor moved) while
             # it ran: rewrite its entries from live fields.
@@ -355,15 +382,22 @@ class VanillaScheduler(Scheduler):
         )
 
     def recalculate_counters(self) -> int:
-        """Recalculate, then rebuild every row from the new counters.
+        """Recalculate, then rebuild and recount every lane from the new
+        counters, each task encoded once.
 
         The rebuild is simulator bookkeeping, not simulated work: the
         cycle charge is the inherited recalc cost, the same as for a
         plain walk over the queue.
         """
         charge = super().recalculate_counters()
-        for i, task in enumerate(self._q):
-            self._put(task, i)
+        codes = [self._encode(task) for task in self._q]
+        for c, row, keys, counts in self._lanes:
+            counts.clear()
+            for i, (weight, proc, slot) in enumerate(codes):
+                w = weight + PROC_CHANGE_PENALTY if c == proc else weight
+                row[i] = w
+                key = keys[i] = w << _SLOT_BITS | slot
+                counts[key] = counts.get(key, 0) + 1
         return charge
 
     # -- introspection --------------------------------------------------------

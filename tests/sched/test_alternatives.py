@@ -200,6 +200,44 @@ class TestMultiQueueSpecifics:
         cpu0.current = spent
         assert sched.schedule(cpu1.idle_task, cpu1).next_task is fresh
 
+    @staticmethod
+    def _recalculate_under_fresh_task():
+        """CPU 0's table holds an exhausted task and CPU 1's ``fresh``
+        (counter 20, list 10); CPU 0's pick recalculates, raising
+        ``fresh`` to counter 30, list 12.  Then ``later`` (counter 24)
+        joins CPU 1's list 11."""
+        sched = MultiQueueScheduler()
+        machine = Machine(sched, num_cpus=2, smp=True)
+        cpu0, cpu1 = machine.cpus
+        spent, fresh = Task(name="spent"), Task(name="fresh")
+        spent.counter, fresh.counter = 0, 20
+        for home, task in enumerate((spent, fresh)):
+            task.processor = home
+            attach(machine, task)
+            sched.add_to_runqueue(task)
+        assert sched._tables[1].index_of(fresh) == 10
+        assert sched.schedule(cpu0.idle_task, cpu0).recalcs == 1
+        spent.has_cpu = True
+        cpu0.current = spent
+        later = Task(name="later")
+        later.counter, later.processor = 24, 1
+        attach(machine, later)
+        sched.add_to_runqueue(later)
+        return sched, cpu1, fresh
+
+    def test_recalculation_reindexes_sibling_tables_eligible_tasks(self):
+        sched, _cpu1, fresh = self._recalculate_under_fresh_task()
+        table = sched._tables[1]
+        assert fresh.counter == 30
+        assert table.index_of(fresh) == table.index_for(fresh) == 12
+        table.check_invariants()
+
+    def test_sibling_table_picks_by_recalculated_goodness(self):
+        """``fresh`` (static goodness 50) must beat ``later`` (44), which
+        a stale list 10 would put behind ``later``'s list 11."""
+        sched, cpu1, fresh = self._recalculate_under_fresh_task()
+        assert sched.schedule(cpu1.idle_task, cpu1).next_task is fresh
+
     def test_steal_disabled(self):
         sched = MultiQueueScheduler(steal=False)
         machine = Machine(sched, num_cpus=2, smp=True)

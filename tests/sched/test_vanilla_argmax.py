@@ -13,11 +13,14 @@ VolanoMark and kernbench never queue real-time tasks or tasks without
 an mm, so whole-workload fingerprints cannot catch a wrong tie rule;
 the generated tasks here cover both.  The named cases pin the tie
 shapes the key row must get right, and the mask across a
-recalculation, which random sequences reach too rarely.
+recalculation, which random sequences reach too rarely.  Between calls
+the array side must also count every key of every lane exactly, with
+no entry left masked: a stale count names a best weight no entry holds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -228,20 +231,37 @@ class Host:
         )
 
 
+def _counts_hold(sched: VanillaScheduler) -> bool:
+    """Every lane counts exactly its keys, and no entry is masked."""
+    return all(
+        counts == Counter(keys) and -1 not in row for _, row, keys, counts in sched._lanes
+    )
+
+
 def _replay(ncpus: int, specs: list[dict], ops) -> Host:
     """Drive both sides through ``ops``; every step must match."""
     array, walk = Host("array", ncpus, specs), Host("list", ncpus, specs)
+    assert _counts_hold(array.sched)
     for step, (op, arg) in enumerate(ops):
         got, want = array.apply(op, arg), walk.apply(op, arg)
         assert got == want, f"step {step} {op}({arg})"
         assert array.state() == walk.state(), f"step {step} {op}({arg})"
+        assert _counts_hold(array.sched), f"step {step} {op}({arg})"
     return array
 
 
-def _other(counter: int) -> dict:
-    """A SCHED_OTHER task spec at priority 20, never run, no mm."""
-    return {"policy": OTHER, "rt_priority": 0, "priority": 20, "counter": counter,
-            "mm": None, "yield_pending": False, "processor": -1}
+def _other(counter: int, priority: int = 20, mm: str | None = None) -> dict:
+    """A SCHED_OTHER task spec, never run (by default at priority 20, no mm)."""
+    return {"policy": OTHER, "rt_priority": 0, "priority": priority, "counter": counter,
+            "mm": mm, "yield_pending": False, "processor": -1}
+
+
+def _entry(host: Host, cpu: int, name: str) -> tuple[int, int]:
+    """``(row weight, count of its key)`` of task ``name`` in CPU ``cpu``'s lane."""
+    sched = host.sched
+    i = [t.name for t in sched.runqueue_tasks()].index(name)
+    _, row, keys, counts = sched._lanes[cpu]
+    return row[i], counts.get(keys[i], 0)
 
 
 @pytest.mark.parametrize("ncpus", [1, 2, 4])
@@ -335,3 +355,42 @@ def test_yielded_prev_keeps_its_affinity_in_the_rows():
     ops = [("schedule", 0), ("yield", 0), ("schedule", 0), ("schedule", 0)]
     array = _replay(1, [_other(21), _other(20)], ops)
     assert array.machine.cpus[0].current.name == "t0"
+
+
+def test_running_prev_alone_at_the_top_weight_is_counted_again():
+    """t0 (32) runs, then yields: its entries, the only ones at the top
+    weight, are masked for the call, so the pick is t1 at the next
+    weight (30), and t0 is counted again at its rewritten 47 (+15)."""
+    ops = [("schedule", 0), ("yield", 0), ("schedule", 0)]
+    array = _replay(1, [_other(12), _other(10), _other(5)], ops)
+    assert array.machine.cpus[0].current.name == "t1"
+    assert _entry(array, 0, "t0") == (47, 1)
+
+
+def test_other_cpus_current_alone_at_the_top_weight_is_counted_again():
+    """CPU 1 runs t0 (32), the only task at the top weight; CPU 0 must
+    pick t1 at the next weight (30) and count t0's entry again after."""
+    ops = [("schedule", 1), ("schedule", 0)]
+    array = _replay(2, [_other(12), _other(10), _other(5)], ops)
+    assert [cpu.current.name for cpu in array.machine.cpus] == ["t1", "t0"]
+    assert _entry(array, 0, "t0") == (32, 1)
+
+
+def test_same_mm_task_at_neither_bonus_weight_leaves_the_first_best():
+    """prev (mm A) blocks; its sibling t3 waits in front at 23, neither
+    the best weight 30 nor 29, so the pick is the first entry at 30."""
+    specs = [_other(40, mm="A"), _other(10), _other(10, mm="B"), _other(3, mm="A")]
+    array = _replay(1, specs, [("schedule", 0), ("block", 0), ("schedule", 0)])
+    assert array.machine.cpus[0].current.name == "t2"
+
+
+def test_recalculation_remasks_prev_and_other_cpus_current():
+    """CPU 1 runs t1 and CPU 0 runs t0 down to counter 0, so CPU 0's next
+    pick sees only exhausted candidates and recalculates.  The rebuild
+    puts t1 at 81 over t2's 80; both running tasks must be masked and
+    uncounted again, so CPU 0 picks t2 over prev t0 (55)."""
+    specs = [_other(1), _other(2, priority=40), _other(0, priority=40)]
+    ops = [("schedule", 1), ("schedule", 0), ("tick", 0), ("schedule", 0)]
+    array = _replay(2, specs, ops)
+    assert array.sched.stats.recalc_entries == 1
+    assert [cpu.current.name for cpu in array.machine.cpus] == ["t2", "t1"]
