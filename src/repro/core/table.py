@@ -269,18 +269,32 @@ class ELSCRunqueueTable:
     # -- recalculation bookkeeping ------------------------------------------------------
 
     def after_recalculate(self) -> None:
-        """Promote the pre-positioned exhausted tasks (O(1)).
+        """Re-file every resident task after a counter recalculation.
 
         Called right after the whole-system counter recalculation, which
-        leaves every resident task holding a fresh quantum.  The zero
-        sections *are* the new eligible sections, and ``top`` becomes
-        the highest list holding any task.  ELSC recalculates only when
-        ``top`` is ``None``, where that list is ``next_top``; the
-        multiqueue scheduler recalculates while sibling tables still hold
-        eligible tasks, whose ``top`` must survive.
+        leaves every resident task holding a fresh quantum.  The
+        exhausted tasks sit in their post-recalculation lists already, so
+        the zero sections *are* the new eligible sections, and ``top``
+        becomes the highest list holding any task.  A SCHED_OTHER task
+        that was eligible already may belong in another list now: each
+        one whose list changed is removed and inserted again.  They are
+        noted from the lowest list up, each list from back to front,
+        before the promotion, so tasks that land in one list keep their
+        order at its front.  ELSC recalculates only when ``top`` is
+        ``None``, so it has none to note or move and ``next_top`` simply
+        becomes ``top``; the multiqueue scheduler recalculates while
+        sibling tables still hold eligible tasks.
         """
-        zb = self.zero_bits
+        lists = self.lists
         n_zero = self.n_zero
+        eligible: list[Task] = []
+        eb = self.elig_bits & ((1 << self.other_lists) - 1)
+        while eb:
+            low = eb & -eb
+            idx = low.bit_length() - 1
+            eligible.extend(lists[idx][n_zero[idx]:])
+            eb ^= low
+        zb = self.zero_bits
         while zb:
             low = zb & -zb
             n_zero[low.bit_length() - 1] = 0
@@ -289,6 +303,10 @@ class ELSCRunqueueTable:
         self.zero_bits = 0
         self.top = eb.bit_length() - 1 if eb else None
         self.next_top = None
+        for task in eligible:
+            if self._index[task.pid] != self.index_for(task):
+                self.remove(task)
+                self.insert(task)
 
     # -- descent & iteration -----------------------------------------------------------
 
@@ -313,7 +331,9 @@ class ELSCRunqueueTable:
 
         Beyond index consistency, section ordering and exact cursors,
         this cross-checks the cached section counts and bitmaps against
-        the live task counters.
+        the live task counters, and each task's list against the one its
+        counter gives (``index_for``, or ``predicted_index`` once it is
+        exhausted).
         """
         seen = 0
         max_eligible = None
@@ -333,6 +353,10 @@ class ELSCRunqueueTable:
                 )
                 seen += 1
                 if self.is_eligible(task):
+                    assert self.index_for(task) == idx, (
+                        f"eligible {task.name} in list {idx} belongs in "
+                        f"{self.index_for(task)}"
+                    )
                     assert not zero_seen, (
                         f"eligible {task.name} behind a zero-counter task in "
                         f"list {idx}"
@@ -344,6 +368,10 @@ class ELSCRunqueueTable:
                         max_eligible = idx
                 else:
                     zero_seen = True
+                    assert self.predicted_index(task) == idx, (
+                        f"exhausted {task.name} in list {idx} belongs in "
+                        f"{self.predicted_index(task)}"
+                    )
                     assert pos < nz, (
                         f"exhausted {task.name} outside list {idx}'s zero section"
                     )

@@ -11,7 +11,11 @@ schedules nothing and is equally invisible.
 All mutation happens *between* events, from CALLBACK handlers in the
 main loop, using the machine's own primitives (``_stop_current_run``,
 ``_do_exit``, ``wake_up_process``, ``_dispatch``) so invariants hold:
-no task is ever mid-``_advance_task`` when a fault lands.
+no task is ever mid-``_advance_task`` when a fault lands.  That promise
+rests on the injector's ``_dispatch`` calls taking the event path,
+their default: a fault handler goes on after each one (the next
+victim, the fault's record), so none may finish a Run in place and move
+the clock past the fault's own time.
 
 Victim selection is seeded per fault index (``Random(f"{seed}/{i}")``)
 over the name-sorted live candidates matching the target glob, so the

@@ -98,6 +98,18 @@ class EventQueue:
             self.skipped += 1
         return self._heap[0][0] if self._heap else None
 
+    def precedes_all(self, time: int) -> bool:
+        """True when an event pushed now at ``time`` would pop next for sure.
+
+        That holds when ``time`` is strictly earlier than every entry in
+        the heap: a tie pops the entry already queued, which has the lower
+        sequence number.  Cancelled entries still in the heap count too,
+        so the answer may be False where :meth:`peek_time` would allow
+        True; it is never True wrongly, and it costs no skipping.
+        """
+        heap = self._heap
+        return not heap or time < heap[0][0]
+
     def pending(self, kind: EventKind) -> list[Event]:
         """The live events of ``kind``, in heap order, as a snapshot list.
 

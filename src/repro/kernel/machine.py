@@ -24,6 +24,7 @@ the run queue.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -68,7 +69,13 @@ class SimulationError(RuntimeError):
 
 
 class RunSummary:
-    """What :meth:`Machine.run` reports back."""
+    """What :meth:`Machine.run` reports back.
+
+    ``events_handled`` counts the events the loop popped and handled plus
+    the Runs that finished in place, each of which stands for the
+    ``ACTION_DONE`` event it did not need; the count is the same
+    whichever way a Run finished.
+    """
 
     __slots__ = (
         "cycles",
@@ -206,6 +213,12 @@ class Machine(SchedHost):
         from ..sched.goodness import goodness  # local import: layering
 
         self._goodness = goodness
+        #: The current :meth:`run`'s horizon, handled-event count and
+        #: event budget, kept here for the in-place Run path, which only
+        #: the event handlers ``run()`` calls may take.
+        self._horizon: float = -1
+        self._handled = 0
+        self._max_events = 0
         #: Prebound deferred-dispatch callbacks, one pair per CPU, so the
         #: defer/resume hot paths schedule events without allocating a
         #: fresh ``partial`` each time.
@@ -357,13 +370,13 @@ class Machine(SchedHost):
     def _deferred_dispatch_cb(machine: "Machine", event: Event, cpu: CPU) -> None:
         cpu.dispatch_pending = False
         if cpu.is_idle() and not cpu.offline:
-            machine._dispatch(cpu, machine.clock.now)
+            machine._dispatch(cpu, machine.clock.now, in_place=True)
 
     @staticmethod
     def _resume_dispatch_cb(machine: "Machine", event: Event, cpu: CPU) -> None:
         """Continue a dispatch that was deferred to preserve event order."""
         if cpu.run_event is None and not cpu.offline:
-            machine._dispatch(cpu, machine.clock.now)
+            machine._dispatch(cpu, machine.clock.now, in_place=True)
 
     # -- the dispatch loop --------------------------------------------------------
 
@@ -384,9 +397,24 @@ class Machine(SchedHost):
         if action.remaining <= 0:
             task.current_action = None
 
-    def _dispatch(self, cpu: CPU, at: int) -> None:
+    def _finish_run(self, cpu: CPU, task: Task, action: Run) -> None:
+        """Bank the rest of ``task``'s Run on ``cpu`` and retire the Run;
+        a Run finished in place and one finished at its ACTION_DONE event
+        both end here."""
+        cycles = action.remaining
+        task.cpu_cycles += cycles
+        cpu.busy_cycles += cycles
+        action.remaining = 0
+        task.current_action = None
+
+    def _dispatch(self, cpu: CPU, at: int, in_place: bool = False) -> None:
         """Run ``schedule()`` on ``cpu`` (and keep dispatching while tasks
-        perform only instantaneous work before blocking again)."""
+        perform only instantaneous work before blocking again).
+
+        ``in_place`` is passed on to :meth:`_advance_task`, under the
+        same rule: only a caller that returns straight to the event loop
+        may pass it.
+        """
         if cpu.offline:
             return  # chaos: a stalled/offlined CPU dispatches nothing
         at = max(at, self.clock.now)
@@ -428,10 +456,15 @@ class Machine(SchedHost):
                 cpu.cancel_tick()
                 return
             self._arm_tick(cpu, end)
-            resume_at = self._advance_task(cpu, end)
+            handled = self._handled
+            resume_at = self._advance_task(cpu, end, in_place)
             if resume_at is None:
                 return  # a Run is in flight (or the task parked an event)
             at = max(resume_at, self.clock.now)
+            if self._handled != handled:
+                # A Run finished in place, so this is where its ACTION_DONE
+                # handler would have entered a fresh dispatch: no check.
+                continue
             # Keep event causality: if this CPU's virtual time has run past
             # the next pending event, hand control back to the event loop
             # and resume the dispatch as an event of its own.
@@ -446,12 +479,25 @@ class Machine(SchedHost):
 
     # -- advancing a task's body ------------------------------------------------
 
-    def _advance_task(self, cpu: CPU, t: int) -> Optional[int]:
+    def _advance_task(
+        self, cpu: CPU, t: int, in_place: bool = False
+    ) -> Optional[int]:
         """Drive ``cpu.current`` through its actions starting at time ``t``.
 
         Returns ``None`` when the task is left computing (an ACTION_DONE
         event is armed) — or the time at which the CPU must re-enter the
         scheduler (task blocked, yielded, or exited).
+
+        With ``in_place``, a Run that ends strictly before every queued
+        event (:meth:`EventQueue.precedes_all`), and not past :meth:`run`'s
+        horizon, finishes here instead: its ACTION_DONE event would be the
+        next one handled, so the clock advances to its end, it counts as a
+        handled event, its cycles are banked and the body steps on, in the
+        order that event's handler would have followed.  A Run ending at
+        the same cycle as a queued event takes the event path, because the
+        older event goes first.  Only a caller that returns straight to the
+        event loop may pass ``in_place``: whatever else it did after this
+        call would see the clock past the Run's end.
         """
         task = cpu.current
         if task is cpu.idle_task:
@@ -491,9 +537,18 @@ class Machine(SchedHost):
                                 t, cpu.cpu_id, task, self.cost.cache_refill
                             )
                         )
+                end = t + action.remaining
+                if in_place and end <= self._horizon and self.events.precedes_all(end):
+                    self.clock.advance_to(end)
+                    self._handled += 1
+                    if self._handled > self._max_events:
+                        raise SimulationError(f"exceeded {self._max_events} events — runaway?")
+                    self._finish_run(cpu, task, action)
+                    t = end
+                    continue
                 cpu.run_started_at = t
                 cpu.run_event = self.events.schedule(
-                    t + action.remaining, EventKind.ACTION_DONE, cpu
+                    end, EventKind.ACTION_DONE, cpu
                 )
                 return None
             if kind is ChannelGet:
@@ -654,7 +709,7 @@ class Machine(SchedHost):
                 self.probes.emit_sched(
                     PreemptEvent(t, cpu.cpu_id, task, task.counter)
                 )
-            self._dispatch(cpu, t)
+            self._dispatch(cpu, t, in_place=True)
             return
         cpu.tick_event = self.events.schedule(
             t + CYCLES_PER_TICK, EventKind.TICK, cpu
@@ -672,15 +727,19 @@ class Machine(SchedHost):
 
         The queue drains when every task has exited (tick chains die with
         idle CPUs).  A drained queue with live blocked tasks is a
-        deadlock, reported in the summary.
+        deadlock, reported in the summary.  ``until_seconds`` and
+        ``until_cycles`` each set a horizon, 0 included; the tighter one
+        wins, and a run that reaches it stops with the clock exactly
+        there.
         """
         horizon: Optional[int] = None
         if until_seconds is not None:
             horizon = seconds_to_cycles(until_seconds)
         if until_cycles is not None:
-            horizon = min(horizon, until_cycles) if horizon else until_cycles
+            horizon = until_cycles if horizon is None else min(horizon, until_cycles)
         summary = RunSummary()
-        handled = 0
+        self._horizon = math.inf if horizon is None else horizon
+        self._handled, self._max_events = 0, max_events
         while True:
             event = self.events.pop()
             if event is None:
@@ -690,8 +749,8 @@ class Machine(SchedHost):
                 summary.hit_horizon = True
                 break
             self.clock.advance_to(event.time)
-            handled += 1
-            if handled > max_events:
+            self._handled += 1
+            if self._handled > max_events:
                 raise SimulationError(f"exceeded {max_events} events — runaway?")
             kind = event.kind
             if kind is EventKind.ACTION_DONE:
@@ -728,7 +787,7 @@ class Machine(SchedHost):
             self.probes.flush()
         summary.cycles = self.clock.now
         summary.seconds = self.clock.seconds
-        summary.events_handled = handled
+        summary.events_handled = self._handled
         summary.tasks_total = len(self._tasks)
         summary.tasks_exited = sum(1 for t in self._tasks.values() if t.exited)
         summary.tasks_blocked = sum(
@@ -749,13 +808,12 @@ class Machine(SchedHost):
             raise SimulationError(
                 f"ACTION_DONE for {task.name} whose action is {action!r}"
             )
-        task.cpu_cycles += action.remaining
-        cpu.busy_cycles += action.remaining
-        action.remaining = 0
-        task.current_action = None
-        resume_at = self._advance_task(cpu, t)
+        self._finish_run(cpu, task, action)
+        # Both calls return straight to the event loop, so Runs may finish
+        # in place (``in_place`` passed by position on this hot path).
+        resume_at = self._advance_task(cpu, t, True)
         if resume_at is not None:
-            self._dispatch(cpu, resume_at)
+            self._dispatch(cpu, resume_at, True)
 
     # -- reporting helpers -------------------------------------------------------
 

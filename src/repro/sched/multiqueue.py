@@ -13,10 +13,10 @@ False and the machine charges only uncontended lock costs) — this is the
 design direction Linux actually took in 2.4/2.5.
 
 Counters stay global, so a CPU whose table holds only exhausted tasks
-recalculates every task in the system, and every table then promotes
-its zero sections.  Tables that still held eligible tasks keep them
-and re-index each one whose counter rise moved it to a higher list, so
-every table stays sorted by static goodness.
+recalculates every task in the system, and every table then re-files
+its residents (``ELSCRunqueueTable.after_recalculate``): it promotes its
+zero sections and re-indexes each eligible task whose new counter moved
+it to another list, so every table stays sorted by static goodness.
 
 Trade-offs this makes visible in the ablations:
 
@@ -198,23 +198,11 @@ class MultiQueueScheduler(Scheduler):
         )
 
     def _recalculate(self) -> int:
-        # Counters are a global property; every per-CPU table promotes
-        # its own zero sections, which sit in their post-recalculation
-        # lists already.  The eligible SCHED_OTHER tasks a sibling table
-        # holds do not: each is noted back to front, so that re-inserting
-        # the ones whose list changed keeps their order at the front of
-        # their new lists.
-        eligible = [
-            [task for idx in range(t.other_lists) for task in t.lists[idx][t.n_zero[idx]:]]
-            for t in self._tables
-        ]
+        # Counters are a global property, so every per-CPU table re-files
+        # its residents, the eligible tasks of sibling tables included.
         cost = super().recalculate_counters()
-        for table, tasks in zip(self._tables, eligible):
+        for table in self._tables:
             table.after_recalculate()
-            for task in tasks:
-                if table.index_of(task) != table.index_for(task):
-                    table.remove(task)
-                    table.insert(task)
         return cost
 
     def _steal_victim(self, my: int) -> Optional[int]:

@@ -257,6 +257,30 @@ class TestRecalculationPromotion:
         assert table.next_top is None
         table.check_invariants()
 
+    def test_after_recalculate_reindexes_eligible_tasks(self):
+        # An eligible task whose recalculated counter gives it another
+        # list moves there, in front of the promoted exhausted task.
+        table = ELSCRunqueueTable()
+        eligible = other("eligible", priority=20, counter=6)   # 26 -> list 6
+        dead = other("dead", priority=20, counter=0)           # predicted 10
+        table.insert(eligible)
+        table.insert(dead)
+        for task in (eligible, dead):
+            task.counter = (task.counter >> 1) + task.priority  # the recalc
+        table.after_recalculate()
+        assert table.index_of(eligible) == table.index_for(eligible) == 10
+        assert list(table.tasks_in(10)) == [eligible, dead]
+        table.check_invariants()
+
+    def test_check_invariants_catches_a_task_in_the_wrong_list(self):
+        table = ELSCRunqueueTable()
+        task = other("t", priority=20, counter=20)
+        table.insert(task)
+        table.check_invariants()
+        task.counter = 8  # list 7 now, but it still sits in list 10
+        with pytest.raises(AssertionError, match="belongs in 7"):
+            table.check_invariants()
+
     def test_descend_helper(self):
         table = ELSCRunqueueTable()
         low = other("low", priority=8, counter=8)    # idx 4

@@ -46,7 +46,10 @@ class _OrderModel:
     their list (``at_tail``: at the end of the eligible section),
     exhausted ones at the tail of their predicted list; a move goes to
     the front or the end of the task's own section; recalculation turns
-    each zero section into the eligible one, in place.
+    each zero section into the eligible one, and re-indexes each task
+    that was eligible already: the SCHED_OTHER lists from the lowest up,
+    each from back to front, every task whose list changed goes to the
+    front of its new list.
     """
 
     def __init__(self, table: ELSCRunqueueTable) -> None:
@@ -82,9 +85,20 @@ class _OrderModel:
         section.append(task)
 
     def recalculate(self) -> None:
+        table = self.table
+        noted = [
+            task
+            for idx in range(table.other_lists)
+            for task in reversed(self.eligible[idx])
+        ]
         for eligible, zero in zip(self.eligible, self.zero):
             eligible.extend(zero)
             zero.clear()
+        for task in noted:
+            section = self.eligible[table.index_for(task)]
+            if task not in section:
+                self._section(task).remove(task)
+                section.insert(0, task)
 
     def check(self) -> None:
         for idx in range(self.table.size):
@@ -122,6 +136,9 @@ _SHARED_LIST = [("other", 20, 0, 0)] * 3 + [("other", 20, 21, 0)] * 2
     [("insert", 0), ("insert", 1), ("insert", 2), ("recalc", 0), ("insert", 3),
      ("move_first", 2), ("move_last", 0), ("insert_tail", 4), ("remove", 1)],
 )
+# An eligible task whose recalculated counter moves it from list 1 to
+# list 0: it must be re-indexed, not left where it was.
+@example([("other", 1, 3, 0)], [("insert", 0), ("recalc", 0)])
 @settings(max_examples=200, deadline=None)
 def test_random_ops_preserve_invariants(specs, ops):
     pool = _Pool(specs)

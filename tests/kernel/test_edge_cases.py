@@ -99,26 +99,103 @@ class TestRunSummaryRepr:
 class TestUntilCycles:
     def test_until_cycles_horizon(self):
         machine = up()
+        done = []
 
         def forever(env):
             while True:
-                yield env.run(us=100)
+                yield env.run(cycles=40_000)
+                done.append(env.now)
 
-        machine.spawn(forever)
+        task = machine.spawn(forever)
         summary = machine.run(until_cycles=1_000_000)
         assert summary.hit_horizon
-        assert machine.clock.now <= 1_000_000
+        assert machine.clock.now == 1_000_000
+        # The Run in flight at the horizon crosses it and is not banked.
+        assert done[-1] <= 1_000_000 < done[-1] + 40_000
+        assert task.cpu_cycles == 40_000 * len(done)
 
     def test_tightest_horizon_wins(self):
-        machine = up()
-
         def forever(env):
             while True:
                 yield env.run(us=100)
 
+        # A horizon of 0 seconds is a horizon too, not "no horizon".
+        for until_seconds, until_cycles in [(1.0, 500_000), (0.0, 500_000)]:
+            machine = up()
+            machine.spawn(forever)
+            summary = machine.run(
+                until_seconds=until_seconds, until_cycles=until_cycles
+            )
+            assert summary.hit_horizon
+            assert machine.clock.now == min(
+                machine.clock.cycles_from_seconds(until_seconds), until_cycles
+            )
+
+
+class TestRunsFinishedInPlace:
+    """A Run that ends before every pending event finishes without one.
+
+    Its ACTION_DONE event would be the next one handled, so the machine
+    finishes it where it is armed; these pin that nothing observable
+    differs from the event path.
+    """
+
+    def test_run_ending_at_a_pending_event_finishes_after_it(self):
+        def stamped(stamps):
+            def body(env):
+                yield env.run(cycles=10_000)
+                stamps.append(env.now)
+
+            return body
+
+        first = []
+        machine = up()
+        machine.spawn(stamped(first))
+        machine.run()
+        (stamp,) = first
+
+        # The same run again, with callbacks at the Run's end and just
+        # after: the callback pushed before the Run goes first on a tie.
+        stamps, seen = [], []
+        machine = up()
+        machine.spawn(stamped(stamps))
+        for at in (stamp, stamp + 1):
+            machine.events.schedule(
+                at,
+                EventKind.CALLBACK,
+                lambda m, event: seen.append((event.time, list(stamps))),
+            )
+        machine.run()
+        assert seen == [(stamp, []), (stamp + 1, [stamp])]
+
+    def test_max_events_counts_runs_finished_in_place(self):
+        machine = up()
+        runs = []
+
+        def forever(env):
+            while True:
+                yield env.run(us=100)
+                runs.append(env.now)
+
         machine.spawn(forever)
-        machine.run(until_seconds=1.0, until_cycles=500_000)
-        assert machine.clock.now <= 500_000
+        with pytest.raises(SimulationError, match="exceeded 50 events"):
+            machine.run(max_events=50)
+        assert 0 < len(runs) <= 50
+
+    def test_events_handled_counts_runs_finished_in_place(self):
+        machine = up()
+
+        def five_runs(env):
+            for _ in range(5):
+                yield env.run(us=100)
+
+        machine.spawn(five_runs)
+        summary = machine.run()
+        # The wakeup's dispatch callback plus one event per Run, as when
+        # every Run went through the heap.
+        assert summary.events_handled == 6
+        # Only the callback and the CPU's tick were pushed.
+        assert machine.events.pushed == 2
 
 
 class TestSchedulerEdgeOps:

@@ -33,6 +33,29 @@ class TestOrdering:
             q.schedule(-1, EventKind.TICK)
 
 
+class TestPrecedesAll:
+    def test_empty_queue(self):
+        assert EventQueue().precedes_all(0)
+
+    def test_strictly_earlier_than_every_entry(self):
+        q = EventQueue()
+        q.schedule(10, EventKind.TICK)
+        q.schedule(20, EventKind.TICK)
+        assert q.precedes_all(9)
+        # A tie pops the event already queued first.
+        assert not q.precedes_all(10)
+        assert not q.precedes_all(15)
+
+    def test_cancelled_entries_still_count(self):
+        q = EventQueue()
+        q.schedule(10, EventKind.TICK).cancel()
+        q.schedule(20, EventKind.TICK)
+        assert q.peek_time() == 20  # skips (and drops) the cancelled top
+        assert q.precedes_all(15)
+        q.schedule(12, EventKind.TICK).cancel()
+        assert not q.precedes_all(15)
+
+
 class TestCancellation:
     def test_cancelled_event_is_skipped(self):
         q = EventQueue()
