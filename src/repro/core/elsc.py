@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..kernel.task import SchedPolicy, Task
+from ..kernel.task import SchedPolicy, Task, TaskState
 from ..sched.base import SchedDecision, Scheduler
 from ..sched.registry import register_scheduler
 from .table import ELSCRunqueueTable
@@ -48,6 +48,11 @@ __all__ = ["ELSCScheduler"]
 #: Safety bound on recalculate-and-retry rounds (see vanilla counterpart).
 _MAX_REPEATS = 64
 
+#: Enum members bound once: a class attribute load on an Enum costs
+#: several times a global load, and these are read on every pick.
+_RUNNING = TaskState.RUNNING
+_RR = SchedPolicy.SCHED_RR
+
 
 @register_scheduler(
     "elsc",
@@ -59,6 +64,14 @@ class ELSCScheduler(Scheduler):
     ``search_limit`` overrides the per-list examination bound (paper
     default: half the number of processors plus five); ``up_shortcut``
     disables the uniprocessor memory-map early exit for ablations.
+
+    The limit and whether the shortcut applies (``up_shortcut`` on a
+    non-SMP host) depend only on the bound host, so ``reset()`` fixes
+    them once per bind.  The cost model is read from the host once per
+    call instead: a ``lock_stretch`` fault swaps the host's ``cost``
+    mid-run.  ``schedule()`` and the run-queue operations read task
+    fields and run-list pointers directly rather than through the
+    ``Task`` helpers; decisions, charges and counts are the same.
     """
 
     name = "elsc"
@@ -92,6 +105,9 @@ class ELSCScheduler(Scheduler):
         super().reset()
         self.table = self._make_table()
         self._running_onqueue = 0
+        # Both depend only on the bound host, so they are fixed per bind.
+        self._limit = self.search_limit
+        self._shortcut = self._up_shortcut and not self.smp
 
     @property
     def search_limit(self) -> int:
@@ -101,37 +117,32 @@ class ELSCScheduler(Scheduler):
         return self.nr_cpus // 2 + 5
 
     # -- run-queue manipulation (section 5.1) -------------------------------------
-
-    def _mark_running_offlist(self, task: Task) -> None:
-        """Manual removal convention: on the run queue, in no list."""
-        task.run_list.next = task.run_list  # non-None ⇒ "on the run queue"
-        task.run_list.prev = None           # None ⇒ not resident in a list
-        self._running_onqueue += 1
-
-    def _insert(self, task: Task, at_tail: bool = False) -> None:
-        """Put a task into the table, handling the running-off-list state."""
-        if task.on_runqueue() and not task.in_a_list():
-            self._running_onqueue -= 1
-        self.table.insert(task, at_tail=at_tail)
+    #
+    # These and schedule() read the run_list pointers directly: a non-None
+    # ``next`` means "on the run queue" (Task.on_runqueue), and a None
+    # ``prev`` on such a task means "running, resident in no list"
+    # (Task.in_a_list is False).
 
     def add_to_runqueue(self, task: Task) -> int:
-        if task.on_runqueue():
+        if task.run_list.next is not None:
             raise RuntimeError(f"{task.name} is already on the run queue")
-        self._insert(task)
+        self.table.insert(task)
         self.stats.enqueues += 1
-        return self.cost.list_op + self.cost.elsc_index
+        cost = self.machine.cost
+        return cost.list_op + cost.elsc_index
 
     def del_from_runqueue(self, task: Task) -> int:
-        if not task.on_runqueue():
+        node = task.run_list
+        if node.next is None:
             return 0
-        if task.in_a_list():
+        if node.prev is not None:
             self.table.remove(task)
         else:
             self._running_onqueue -= 1
-        task.run_list.next = None
-        task.run_list.prev = None
+        node.next = None
+        node.prev = None
         self.stats.dequeues += 1
-        return self.cost.list_op
+        return self.machine.cost.list_op
 
     def move_first_runqueue(self, task: Task) -> None:
         if task.in_a_list():
@@ -153,7 +164,12 @@ class ELSCScheduler(Scheduler):
     # -- schedule() (section 5.2) --------------------------------------------------------
 
     def schedule(self, prev: Task, cpu: "CPU") -> SchedDecision:
-        self.stats.schedule_calls += 1
+        stats = self.stats
+        stats.schedule_calls += 1
+        table = self.table
+        # Read once per call, never cached across calls: a lock_stretch
+        # fault replaces the host's cost model mid-run.
+        cost = self.machine.cost
         idle = cpu.idle_task
         cost_cycles = 0
         examined = 0
@@ -166,23 +182,26 @@ class ELSCScheduler(Scheduler):
         # still runnable ("we insert the task in the table now lest we
         # lose track of it"), with SCHED_RR rotation applied.
         if prev is not idle:
-            if prev.is_runnable():
-                if prev.policy is SchedPolicy.SCHED_RR and prev.counter == 0:
+            node = prev.run_list
+            if prev.state is _RUNNING and not prev.exited:
+                if node.next is not None and node.prev is None:
+                    self._running_onqueue -= 1  # it was running off-list
+                if prev.policy is _RR and prev.counter == 0:
                     prev.counter = prev.priority
-                    self._insert(prev, at_tail=True)
+                    table.insert(prev, True)
                 else:
-                    self._insert(prev)
+                    table.insert(prev)
                 indexed += 1
-            elif prev.on_runqueue():
+            elif node.next is not None:
                 cost_cycles += self.del_from_runqueue(prev)
 
-        self.stats.runqueue_len_sum += self.runqueue_len()
+        stats.runqueue_len_sum += table.resident + self._running_onqueue
 
         chosen: Optional[Task] = None
         for _round in range(_MAX_REPEATS):
-            top = self.table.top
+            top = table.top
             if top is None:
-                if self.table.next_top is not None:
+                if table.next_top is not None:
                     # Step 2: all quanta exhausted — recalculate and retry.
                     recalc_charge = self.recalculate_counters()
                     cost_cycles += recalc_charge
@@ -200,7 +219,7 @@ class ELSCScheduler(Scheduler):
                 if candidate is not None:
                     chosen = candidate
                     break
-                idx = self.table.next_eligible_below(idx)
+                idx = table.next_eligible_below(idx)
             break
         else:  # pragma: no cover - guarded impossibility
             raise RuntimeError("ELSC scheduler failed to converge")
@@ -208,23 +227,24 @@ class ELSCScheduler(Scheduler):
         if chosen is not None:
             # Step 5: manual removal — the task stays "on the run queue"
             # while holding a processor, but lives in no list.
-            self.table.remove(chosen)
-            self._mark_running_offlist(chosen)
+            table.remove(chosen)
+            node = chosen.run_list
+            node.next = node  # non-None ⇒ "on the run queue"
+            node.prev = None  # None ⇒ not resident in a list
+            self._running_onqueue += 1
             if prev_yielded and chosen is prev:
-                self.stats.yield_reruns += 1
+                stats.yield_reruns += 1
         if prev is not idle and prev.yield_pending:
             prev.yield_pending = False
 
-        cost_cycles += self.cost.elsc_schedule_cost(examined, indexed)
-        self.stats.tasks_examined += examined
-        self.stats.scheduler_cycles += cost_cycles
+        cost_cycles += cost.elsc_schedule_cost(examined, indexed)
+        stats.tasks_examined += examined
+        stats.scheduler_cycles += cost_cycles
+        # By position (keywords cost about twice as much per pick):
+        # next_task, cost, examined, recalcs, eval_cycles, recalc_cycles.
         return SchedDecision(
-            next_task=chosen,
-            cost=cost_cycles,
-            examined=examined,
-            recalcs=recalcs,
-            eval_cycles=self.cost.elsc_examine * examined,
-            recalc_cycles=recalc_cycles,
+            chosen, cost_cycles, examined, recalcs,
+            cost.elsc_examine * examined, recalc_cycles,
         )
 
     def _search_list(
@@ -236,7 +256,7 @@ class ELSCScheduler(Scheduler):
         only when every task seen was running on another CPU (or the
         list's eligible section was empty).
         """
-        limit = self.search_limit
+        limit = self._limit
         examined = 0
         rt_list = idx >= self.table.other_lists
         best: Optional[Task] = None
@@ -249,7 +269,7 @@ class ELSCScheduler(Scheduler):
         # computation — it returns regardless of the utility value.
         this_cpu = cpu.cpu_id
         this_mm = prev.mm
-        shortcut = self._up_shortcut and not self.smp and this_mm is not None
+        shortcut = self._shortcut and this_mm is not None
         for task in reversed(self.table.lists[idx]):
             if not rt_list and task.counter == 0:
                 # The zero-counter tail section begins: "the rest of the

@@ -60,9 +60,13 @@ from ..kernel.params import (
     ELSC_TABLE_SIZE,
     MAX_RT_PRIORITY,
 )
-from ..kernel.task import Task
+from ..kernel.task import SchedPolicy, Task
 
 __all__ = ["ELSCRunqueueTable"]
+
+#: Bound once: a class attribute load on an Enum costs several times a
+#: global load, and ``insert`` reads it on every call.
+_OTHER = SchedPolicy.SCHED_OTHER
 
 
 class ELSCRunqueueTable:
@@ -157,11 +161,32 @@ class ELSCRunqueueTable:
         (like the stock front-of-queue insert); ``at_tail`` forces a tail
         insert within the eligible section (SCHED_RR rotation).
         Zero-counter tasks go to the tail of their *predicted* list.
+
+        The list is computed here, in one pass over ``policy``,
+        ``counter`` and ``priority``, with the arithmetic of
+        ``is_eligible``, ``index_for`` and ``predicted_index``; those stay
+        the reference that ``check_invariants`` and the tests hold every
+        placement to.
         """
         if task.pid in self._index:
             raise RuntimeError(f"{task.name} is already in the ELSC table")
-        if self.is_eligible(task):
-            idx = self.index_for(task)
+        counter = task.counter
+        if task.policy is not _OTHER:
+            idx = self.rt_index(task.rt_priority)
+            exhausted = False
+        else:
+            exhausted = counter <= 0
+            if exhausted:
+                # The recalculation will give it counter//2 + priority.
+                idx = ((counter >> 1) + 2 * task.priority) // 4
+            else:
+                idx = (counter + task.priority) // 4
+            top_other = self.other_lists - 1
+            if idx > top_other:
+                idx = top_other
+            if idx < 0:
+                idx = 0
+        if not exhausted:
             lst = self.lists[idx]
             if at_tail:
                 # End of the eligible section = just above the zero tail.
@@ -172,7 +197,6 @@ class ELSCRunqueueTable:
             if self.top is None or idx > self.top:
                 self.top = idx
         else:
-            idx = self.predicted_index(task)
             self.lists[idx].insert(0, task)  # physical back
             self.n_zero[idx] += 1
             self.zero_bits |= 1 << idx

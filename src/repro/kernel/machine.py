@@ -46,7 +46,14 @@ from .cpu import CPU
 from .events import Event, EventKind, EventQueue
 from .host import SchedHost
 from .mm import MMStruct
-from .params import CYCLES_PER_TICK, DEFAULT_PRIORITY, seconds_to_cycles
+from .params import (
+    CYCLES_PER_TICK,
+    DEFAULT_PRIORITY,
+    MM_BONUS,
+    PROC_CHANGE_PENALTY,
+    RT_GOODNESS_BASE,
+    seconds_to_cycles,
+)
 from .sync import Channel
 from .task import SchedPolicy, Task, TaskState
 from .waitqueue import WaitQueue
@@ -62,6 +69,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sched.base import Scheduler
 
 __all__ = ["Machine", "KernelHandle", "RunSummary", "SimulationError"]
+
+#: Bound once: a class attribute load on an Enum costs several times a
+#: global load, and ``_reschedule_idle`` reads it once per busy CPU.
+_OTHER = SchedPolicy.SCHED_OTHER
 
 
 class SimulationError(RuntimeError):
@@ -210,9 +221,6 @@ class Machine(SchedHost):
         self.handle = KernelHandle(self)
         self._advancing: Optional[Task] = None
         self.total_ticks = 0
-        from ..sched.goodness import goodness  # local import: layering
-
-        self._goodness = goodness
         #: The current :meth:`run`'s horizon, handled-event count and
         #: event budget, kept here for the in-place Run path, which only
         #: the event handlers ``run()`` calls may take.
@@ -326,31 +334,60 @@ class Machine(SchedHost):
         """Find a CPU for a freshly woken task (kernel ``reschedule_idle``).
 
         Preference order: the CPU the task last ran on if idle, any idle
-        CPU, else set ``need_resched`` on the CPU whose current task the
-        waked one beats by the widest preemption-goodness margin.
+        CPU, else set ``need_resched`` on the lowest-numbered CPU whose
+        current task the waked one beats by the widest positive
+        ``preemption_goodness(task, cpu.current, cpu)`` margin.  The margin
+        is ``goodness()``'s arithmetic written out inline (the waked task's
+        static part once, each CPU's bonuses in the loop);
+        ``tests/kernel/test_reschedule_idle.py`` pins it to
+        :mod:`repro.sched.goodness`.
         """
+        cpus = self.cpus
+        processor = task.processor
         # Last-run CPU, if idle.
-        if 0 <= task.processor < len(self.cpus):
-            home = self.cpus[task.processor]
-            if home.is_idle() and not home.dispatch_pending and not home.offline:
+        if 0 <= processor < len(cpus):
+            home = cpus[processor]
+            if home.current is home.idle_task and not home.dispatch_pending and not home.offline:
                 self._defer_dispatch(home, t)
                 return
         # Any idle CPU.
-        for cpu in self.cpus:
-            if cpu.is_idle() and not cpu.dispatch_pending and not cpu.offline:
+        for cpu in cpus:
+            if cpu.current is cpu.idle_task and not cpu.dispatch_pending and not cpu.offline:
                 self._defer_dispatch(cpu, t)
                 return
         # Preempt the weakest current task, if the waked task beats it.
-        goodness = self._goodness
+        # goodness(): a real-time task scores 1000 + rt_priority, an
+        # exhausted one 0, any other counter + priority plus its bonuses.
+        bonused = False
+        if task.policy is not _OTHER:
+            static = RT_GOODNESS_BASE + task.rt_priority
+        elif task.counter == 0:
+            static = 0
+        else:
+            static = task.counter + task.priority
+            bonused = True
+        mm = task.mm
         best_cpu: Optional[CPU] = None
         best_margin = 0
-        for cpu in self.cpus:
+        for cpu in cpus:
             if cpu.offline:
                 continue
             cur = cpu.current
-            margin = goodness(task, cpu.cpu_id, cur.mm) - goodness(
-                cur, cpu.cpu_id, cur.mm
-            )
+            cpu_id = cpu.cpu_id
+            margin = static
+            if bonused:
+                if mm is not None and mm is cur.mm:
+                    margin += MM_BONUS
+                if processor == cpu_id:
+                    margin += PROC_CHANGE_PENALTY
+            if cur.policy is not _OTHER:
+                margin -= RT_GOODNESS_BASE + cur.rt_priority
+            elif cur.counter != 0:
+                margin -= cur.counter + cur.priority
+                if cur.mm is not None:
+                    margin -= MM_BONUS  # it shares its own mm
+                if cur.processor == cpu_id:
+                    margin -= PROC_CHANGE_PENALTY
             if margin > best_margin:
                 best_margin = margin
                 best_cpu = cpu
