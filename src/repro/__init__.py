@@ -61,11 +61,9 @@ from .kernel import (
 )
 from .sched import (
     CFSScheduler,
-    ClutchScheduler,
     HeapScheduler,
     MultiQueueScheduler,
     O1Scheduler,
-    RelaxedMQScheduler,
     SchedDecision,
     Scheduler,
     SchedStats,
@@ -94,10 +92,8 @@ __all__ = [
     "VanillaScheduler",
     "HeapScheduler",
     "CFSScheduler",
-    "ClutchScheduler",
     "MultiQueueScheduler",
     "O1Scheduler",
-    "RelaxedMQScheduler",
     "Scheduler",
     "SchedDecision",
     "SchedStats",

@@ -4,11 +4,11 @@ Two hosts drive a :class:`~repro.sched.base.Scheduler`: the
 discrete-event :class:`~repro.kernel.machine.Machine` and the live
 :class:`~repro.serve.executor.SchedulerExecutor`.  :class:`SchedHost` is
 their common base, so every rule a policy can observe of its host has
-one implementation and the hosts agree by construction: API-v2 hook
-detection, probe attachment, the task table with its fork/exit calls,
-wakeup dedup, the context-switch charge and the decision event, the
-post-pick bookkeeping, and the tick's quantum rule.  Time and control
-flow stay with each host.
+one implementation and the hosts agree by construction: probe
+attachment, the task table with its fork/exit calls, wakeup dedup, the
+context-switch charge and the decision event, the post-pick
+bookkeeping, and the tick's quantum rule.  Time and control flow stay
+with each host.
 """
 
 from __future__ import annotations
@@ -69,19 +69,8 @@ class SchedHost:
         self._bind(scheduler)
 
     def _bind(self, scheduler: "Scheduler") -> None:
-        """Bind ``scheduler``, detecting its API-v2 hooks once.
-
-        A scheduler that keeps the base no-ops pays nothing on the
-        tick/fork/exit paths (and its event stream stays bit-identical
-        to the pre-hook kernel).
-        """
-        from ..sched.base import Scheduler  # local import: layering
-
-        sched_cls = type(scheduler)
+        """Make ``scheduler`` this host's policy and bind it here."""
         self.scheduler = scheduler
-        self._hook_tick = sched_cls.on_tick is not Scheduler.on_tick
-        self._hook_fork = sched_cls.on_fork is not Scheduler.on_fork
-        self._hook_exit = sched_cls.on_exit is not Scheduler.on_exit
         scheduler.bind(self)
 
     # -- observers ---------------------------------------------------------
@@ -117,16 +106,12 @@ class SchedHost:
         """Enter a new task in the table, before its first wakeup."""
         self._tasks[task.pid] = task
         self._live_count += 1
-        if self._hook_fork:
-            self.scheduler.on_fork(task)
 
     def _exit(self, task: Task) -> None:
         """Retire ``task`` for good: zombie, off the run queue."""
         task.mark_exited()
         self.scheduler.del_from_runqueue(task)
         self._live_count -= 1
-        if self._hook_exit:
-            self.scheduler.on_exit(task)
 
     # -- the scheduling rules ----------------------------------------------
 
@@ -217,11 +202,11 @@ class SchedHost:
         next_task.dispatch_count += 1
         cpu.current = next_task
 
-    def _tick(self, task: Task, cpu_id: int) -> bool:
+    def _tick(self, task: Task) -> bool:
         """One quantum tick charged to ``task``; True when it is used up.
 
         SCHED_FIFO runs untimed.  Everyone else burns one ``counter``
-        tick, and ``on_tick`` fires after the decrement.
+        tick.
         """
         task.ticks_consumed += 1
         if task.policy is SchedPolicy.SCHED_FIFO:
@@ -231,6 +216,4 @@ class SchedHost:
         expired = task.counter <= 0
         if expired:
             task.counter = 0
-        if self._hook_tick:
-            self.scheduler.on_tick(task, cpu_id)
         return expired

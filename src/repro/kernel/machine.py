@@ -738,7 +738,7 @@ class Machine(SchedHost):
             return  # tick chain dies; re-armed at next dispatch
         self.total_ticks += 1
         task = cpu.current
-        if self._tick(task, cpu.cpu_id):
+        if self._tick(task):
             cpu.need_resched = True
         if cpu.need_resched:
             self.scheduler.stats.preemptions += 1

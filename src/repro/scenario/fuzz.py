@@ -46,7 +46,6 @@ from ..harness.registry import MACHINE_SPECS, SCHEDULERS
 from ..harness.runner import execute_spec
 from ..kernel.simulator import make_machine
 from ..kernel.task import SchedPolicy, Task, TaskState
-from ..sched.base import Scheduler
 from ..obs.metrics import reconcile_with_stats
 from ..prof.profiler import conservation_errors
 from ..serve.executor import SchedulerExecutor
@@ -233,20 +232,12 @@ def _derive_trace(spec: ScenarioSpec, trace_len: int) -> list:
     return trace
 
 
-def _charge(task: Task, scheduler=None) -> None:
-    """The quantum rule, written out independently of the hosts.
-
-    After the counter math, the API-v2 ``on_tick`` hook fires for every
-    non-FIFO charge, so a policy with an internal tick clock (clutch)
-    sees the same number of ticks on the reference side as on the
-    executor side.
-    """
+def _charge(task: Task) -> None:
+    """The quantum rule, written out independently of the hosts."""
     if task.policy is SchedPolicy.SCHED_FIFO:
         return
     if task.counter > 0:
         task.counter -= 1
-    if scheduler is not None and type(scheduler).on_tick is not Scheduler.on_tick:
-        scheduler.on_tick(task, task.processor)
 
 
 def replay_executor(sched_name: str, spec_name: str, trace: Sequence) -> list:
@@ -326,7 +317,7 @@ def replay_machine(sched_name: str, spec_name: str, trace: Sequence) -> list:
             i = tasks.index(picked)
             if pending[i] > 0:
                 pending[i] -= 1
-            _charge(picked, scheduler)
+            _charge(picked)
             picked.state = (
                 TaskState.RUNNING if pending[i] else TaskState.INTERRUPTIBLE
             )

@@ -9,7 +9,6 @@ from .goodness import (
     static_goodness,
 )
 from .cfs import CFSScheduler
-from .clutch import ClutchScheduler
 from .heap import HeapScheduler
 from .multiqueue import MultiQueueScheduler
 from .o1 import O1Scheduler
@@ -22,7 +21,6 @@ from .registry import (
     resolve,
     scheduler_names,
 )
-from .relaxed_mq import RelaxedMQScheduler
 from .stats import SchedStats
 from .vanilla import VanillaScheduler
 
@@ -41,10 +39,8 @@ __all__ = [
     "VanillaScheduler",
     "HeapScheduler",
     "CFSScheduler",
-    "ClutchScheduler",
     "MultiQueueScheduler",
     "O1Scheduler",
-    "RelaxedMQScheduler",
     "goodness",
     "prev_goodness",
     "preemption_goodness",

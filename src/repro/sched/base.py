@@ -8,14 +8,8 @@ not change current interfaces" — the ELSC patch replaces the bodies of
 that interface so the machine is scheduler-agnostic and alternative
 designs (heap, multi-queue, O(1)) plug in the same way.
 
-API v2 widens the surface with *optional* lifecycle hooks — ``on_tick``,
-``on_fork``, ``on_exit``, ``task_group``, ``per_cpu_queue_lens`` — all
-defaulted to no-ops so the flat five-function designs run unmodified,
-while hierarchical designs (Clutch) get the group/tick signals they
-need.  Hosts detect overridden hooks at bind time (``type(sched).on_tick
-is not Scheduler.on_tick``) so a default hook costs nothing on the hot
-path.  The host side of the contract is the :class:`ProbeHost`
-protocol: the structural type every bound "machine" satisfies — the two
+The host side of the contract is the :class:`ProbeHost` protocol: the
+structural type every bound "machine" satisfies — the two
 :class:`~repro.kernel.host.SchedHost` hosts (the simulated
 :class:`~repro.kernel.machine.Machine` and the serve executor) and test
 fakes.
@@ -110,15 +104,6 @@ class Scheduler(abc.ABC):
     #: machine charges only uncontended lock costs.
     uses_global_lock: bool = True
 
-    #: Whether the design maintains genuinely per-CPU ready structures
-    #: (multiqueue, O(1), relaxed_mq); purely informational for layers
-    #: that reason about policies without instantiating them.
-    per_cpu_queues: bool = False
-
-    #: Whether the design schedules through a hierarchy (groups/buckets
-    #: above tasks) rather than one flat ready list (clutch).
-    hierarchical: bool = False
-
     def __init__(self) -> None:
         self.stats = SchedStats()
         self.machine: Optional[ProbeHost] = None
@@ -192,47 +177,6 @@ class Scheduler(abc.ABC):
           candidate of last resort) and cleared.
         * Implementations update ``self.stats`` themselves.
         """
-
-    # -- optional lifecycle hooks (API v2) --------------------------------------
-    #
-    # All default to no-ops so flat designs run unmodified.  Hosts check
-    # ``type(scheduler).on_tick is not Scheduler.on_tick`` once at bind
-    # time and skip the call entirely when the default is in place, so a
-    # policy that doesn't care pays zero cycles and keeps bit-identity.
-
-    def on_tick(self, task: "Task", cpu_id: int) -> None:
-        """A timer tick was charged to ``task`` on CPU ``cpu_id``.
-
-        Fired *after* the host decremented ``task.counter`` (the
-        quantum rule stays host-owned so every host applies it
-        identically).  Hierarchical designs use this to advance their
-        internal notion of time.
-        """
-
-    def on_fork(self, task: "Task") -> None:
-        """``task`` was created, before its first wakeup."""
-
-    def on_exit(self, task: "Task") -> None:
-        """``task`` exited and has left the run queue for good."""
-
-    def task_group(self, task: "Task"):
-        """The grouping key ``task`` schedules under.
-
-        Defaults to the address space (``task.mm``), falling back to
-        the pid for kernel-thread-like tasks without one — the closest
-        analogue of a thread group the simulator has.  Deterministic:
-        ``mm`` objects are only ever used as dict keys (insertion
-        ordered), never sorted by ``id()``.
-        """
-        return task.mm if task.mm is not None else task.pid
-
-    def per_cpu_queue_lens(self) -> list[int]:
-        """Ready-task count per internal queue (one entry per queue).
-
-        Flat designs report a single global entry; per-CPU designs
-        report one per lane/CPU.  For introspection and tests.
-        """
-        return [self.runqueue_len()]
 
     # -- introspection ----------------------------------------------------------
 

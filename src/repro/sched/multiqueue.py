@@ -55,7 +55,6 @@ class MultiQueueScheduler(Scheduler):
 
     name = "mq"
     uses_global_lock = False
-    per_cpu_queues = True
 
     def __init__(self, steal: bool = True) -> None:
         super().__init__()

@@ -117,7 +117,6 @@ class O1Scheduler(Scheduler):
 
     name = "o1"
     uses_global_lock = False
-    per_cpu_queues = True
 
     def __init__(self, steal: bool = True) -> None:
         super().__init__()

@@ -6,21 +6,15 @@ what does ``'multiqueue'`` mean?" required three separate tables —
 the benchmark and ``scenario``.  Now a scheduler module declares itself
 once::
 
-    @register_scheduler("clutch", aliases=("sched_clutch",),
-                        summary="XNU-Clutch-style hierarchy")
-    class ClutchScheduler(Scheduler):
-        name = "clutch"
+    @register_scheduler("mq", aliases=("multiqueue",),
+                        summary="lock-per-queue per-CPU runqueues")
+    class MultiQueueScheduler(Scheduler):
+        name = "mq"
         ...
 
 and the CLI vocabulary, the scenario catalogue, the serve executor,
 and the cluster config all see it automatically via
 :func:`all_schedulers` / :func:`resolve` / :func:`create`.
-
-Capability flags (``uses_global_lock``, ``per_cpu_queues``,
-``hierarchical``) are read off the class at registration time and
-carried in the :class:`SchedulerInfo` record so layers can reason
-about a policy ("does this serialise on the global lock?") without
-instantiating it.
 
 Registration order is **not** presentation order: modules may be
 imported in any order (``repro.sched`` imports alphabetically, the
@@ -51,9 +45,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchedulerInfo:
-    """One registered scheduling policy: identity, factory, capabilities."""
+    """One registered scheduling policy: identity and factory."""
 
-    #: Canonical short name ("reg", "elsc", "clutch", …).
+    #: Canonical short name ("reg", "elsc", "mq", …).
     name: str
     #: The scheduler class (callable with no required arguments).
     factory: Type[Scheduler]
@@ -61,10 +55,6 @@ class SchedulerInfo:
     aliases: tuple = ()
     #: One-line human description for listings and docs.
     summary: str = ""
-    #: Capability flags, read off the class at registration time.
-    uses_global_lock: bool = True
-    per_cpu_queues: bool = False
-    hierarchical: bool = False
 
 
 #: Canonical name -> info, in registration order (presentation order is
@@ -83,8 +73,6 @@ _PREFERRED_ORDER = (
     "mq",
     "o1",
     "cfs",
-    "clutch",
-    "relaxed_mq",
 )
 
 _LOADED = False
@@ -122,13 +110,7 @@ def register_scheduler(
                     f"alias {alias!r} already maps to {_ALIASES[alias]!r}"
                 )
         info = SchedulerInfo(
-            name=name,
-            factory=cls,
-            aliases=tuple(aliases),
-            summary=summary,
-            uses_global_lock=bool(getattr(cls, "uses_global_lock", True)),
-            per_cpu_queues=bool(getattr(cls, "per_cpu_queues", False)),
-            hierarchical=bool(getattr(cls, "hierarchical", False)),
+            name=name, factory=cls, aliases=tuple(aliases), summary=summary
         )
         _REGISTRY[name] = info
         for alias in aliases:
@@ -151,7 +133,7 @@ def _ensure_loaded() -> None:
     _LOADED = True
     # Import order is irrelevant to presentation order (see
     # _PREFERRED_ORDER) — listed by dependency layer for clarity.
-    from . import cfs, clutch, heap, multiqueue, o1, relaxed_mq, vanilla  # noqa: F401
+    from . import cfs, heap, multiqueue, o1, vanilla  # noqa: F401
     from ..core import elsc  # noqa: F401
 
 

@@ -256,7 +256,7 @@ class SchedulerExecutor(SchedHost):
         if task.exited:
             return
         had_quantum = task.counter > 0
-        if self._tick(task, task.processor) and had_quantum:
+        if self._tick(task) and had_quantum:
             self.scheduler.stats.preemptions += 1
             if self.probes.sched:
                 ev = PreemptEvent(self.clock.now, task.processor, task, 0)

@@ -8,14 +8,12 @@ import pytest
 
 from repro import (
     CFSScheduler,
-    ClutchScheduler,
     ELSCScheduler,
     HeapScheduler,
     Machine,
     MachineSpec,
     MultiQueueScheduler,
     O1Scheduler,
-    RelaxedMQScheduler,
     Task,
     VanillaScheduler,
 )
@@ -27,8 +25,6 @@ ALL_SCHEDULERS = [
     MultiQueueScheduler,
     O1Scheduler,
     CFSScheduler,
-    ClutchScheduler,
-    RelaxedMQScheduler,
 ]
 
 PAPER_SCHEDULERS = [VanillaScheduler, ELSCScheduler]

@@ -1,6 +1,6 @@
 """Every registered policy's simulation outputs, pinned bit-for-bit.
 
-``sim_fingerprints.json`` holds 32 deterministic cells (8 policies x
+``sim_fingerprints.json`` holds 24 deterministic cells (6 policies x
 UP/4P x volano/kernbench), copied from ``BENCH_10.json``, a trajectory
 file of the deleted bench command that git history keeps, and never
 re-recorded: each entry names the workload, scheduler, machine and

@@ -12,7 +12,7 @@ from repro.cli import SCHEDULERS, SPECS, build_parser, main
 class TestParser:
     def test_all_schedulers_available(self):
         assert set(SCHEDULERS) == {
-            "reg", "elsc", "heap", "mq", "o1", "cfs", "clutch", "relaxed_mq",
+            "reg", "elsc", "heap", "mq", "o1", "cfs",
         }
 
     def test_all_specs_available(self):

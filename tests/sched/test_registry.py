@@ -16,8 +16,16 @@ from repro.sched.registry import (
     scheduler_names,
 )
 
-EXPECTED_NAMES = ["reg", "elsc", "heap", "mq", "o1", "cfs", "clutch",
-                  "relaxed_mq"]
+EXPECTED_NAMES = ["reg", "elsc", "heap", "mq", "o1", "cfs"]
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """Give the test copies of the registry tables, so that whatever it
+    registers is gone at teardown."""
+    reg_mod._ensure_loaded()
+    monkeypatch.setattr(reg_mod, "_REGISTRY", dict(reg_mod._REGISTRY))
+    monkeypatch.setattr(reg_mod, "_ALIASES", dict(reg_mod._ALIASES))
 
 
 class TestRoundTrip:
@@ -41,11 +49,10 @@ class TestRoundTrip:
 
     def test_create_accepts_aliases(self):
         assert create("vanilla").name == "reg"
-        assert create("sched_clutch").name == "clutch"
-        assert create("rmq").name == "relaxed_mq"
+        assert create("multiqueue").name == "mq"
 
     def test_unknown_name_lists_the_vocabulary(self):
-        with pytest.raises(KeyError, match="clutch"):
+        with pytest.raises(KeyError, match="elsc"):
             resolve("bfs")
 
     def test_info_is_frozen(self):
@@ -55,6 +62,7 @@ class TestRoundTrip:
             info.name = "other"
 
 
+@pytest.mark.usefixtures("scratch_registry")
 class TestCollisions:
     def test_duplicate_name_is_rejected(self):
         with pytest.raises(ValueError, match="reg"):
@@ -64,8 +72,8 @@ class TestCollisions:
                     raise NotImplementedError
 
     def test_alias_colliding_with_name_is_rejected(self):
-        with pytest.raises(ValueError, match="clutch"):
-            @register_scheduler("fresh-name", aliases=("clutch",))
+        with pytest.raises(ValueError, match="elsc"):
+            @register_scheduler("fresh-name", aliases=("elsc",))
             class Dup(Scheduler):  # pragma: no cover - never registered
                 def schedule(self, prev, cpu):
                     raise NotImplementedError
@@ -78,10 +86,15 @@ class TestCollisions:
                     raise NotImplementedError
 
     def test_rejected_registration_leaves_no_residue(self):
-        before = scheduler_names()
-        for bad in ("reg", "fresh-name"):
-            assert bad not in alias_map()
-        assert scheduler_names() == before
+        before = (dict(reg_mod._REGISTRY), dict(reg_mod._ALIASES))
+        with pytest.raises(ValueError, match="vanilla"):
+            @register_scheduler("fresh-name", aliases=("fresh", "vanilla"))
+            class Dup(Scheduler):  # pragma: no cover - never registered
+                def schedule(self, prev, cpu):
+                    raise NotImplementedError
+
+        assert (reg_mod._REGISTRY, reg_mod._ALIASES) == before
+        assert "fresh-name" not in scheduler_names()
 
     def test_successful_registration_and_teardown(self):
         @register_scheduler("zz-test", aliases=("zz",), summary="throwaway")
@@ -91,43 +104,18 @@ class TestCollisions:
             def schedule(self, prev, cpu):  # pragma: no cover - unused
                 raise NotImplementedError
 
-        try:
-            assert resolve("zz") == "zz-test"
-            assert "zz-test" in scheduler_names()
-            assert all_schedulers()["zz-test"].summary == "throwaway"
-        finally:
-            reg_mod._REGISTRY.pop("zz-test")
-            reg_mod._ALIASES.pop("zz")
+        assert resolve("zz") == "zz-test"
+        assert "zz-test" in scheduler_names()
+        assert all_schedulers()["zz-test"].summary == "throwaway"
 
 
 class TestCapabilityFlags:
     def test_global_lock_designs(self):
         infos = all_schedulers()
-        for name in ("reg", "elsc", "heap", "clutch"):
-            assert infos[name].uses_global_lock, name
-        for name in ("mq", "o1", "cfs", "relaxed_mq"):
-            assert not infos[name].uses_global_lock, name
-
-    def test_per_cpu_queue_designs(self):
-        infos = all_schedulers()
-        for name in ("mq", "o1", "relaxed_mq"):
-            assert infos[name].per_cpu_queues, name
-        for name in ("reg", "elsc", "heap", "cfs", "clutch"):
-            assert not infos[name].per_cpu_queues, name
-
-    def test_hierarchical_designs(self):
-        infos = all_schedulers()
-        assert infos["clutch"].hierarchical
-        assert not any(
-            infos[n].hierarchical for n in EXPECTED_NAMES if n != "clutch"
-        )
-
-    def test_flags_mirror_the_class_attributes(self):
-        for name, info in all_schedulers().items():
-            sched = info.factory()
-            assert info.uses_global_lock == sched.uses_global_lock
-            assert info.per_cpu_queues == sched.per_cpu_queues
-            assert info.hierarchical == sched.hierarchical
+        for name in ("reg", "elsc", "heap"):
+            assert infos[name].factory.uses_global_lock, name
+        for name in ("mq", "o1", "cfs"):
+            assert not infos[name].factory.uses_global_lock, name
 
 
 class TestCrossLayerReach:
@@ -160,13 +148,13 @@ class TestCrossLayerReach:
     def test_cluster_config_canonicalises_aliases(self):
         from repro.cluster.config import ClusterConfig
 
-        config = ClusterConfig(scheduler="sched_clutch")
-        assert config.scheduler == "clutch"
+        config = ClusterConfig(scheduler="multiqueue")
+        assert config.scheduler == "mq"
         with pytest.raises(ValueError, match="unknown scheduler"):
             ClusterConfig(scheduler="bfs")
 
     def test_executor_from_name_accepts_aliases(self):
         from repro.serve import SchedulerExecutor
 
-        executor = SchedulerExecutor.from_name("rmq")
-        assert executor.scheduler.name == "relaxed_mq"
+        executor = SchedulerExecutor.from_name("vanilla")
+        assert executor.scheduler.name == "reg"

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro import Machine, Task, VanillaScheduler
-from repro.sched.base import SchedDecision, Scheduler
+from repro.sched.base import ProbeHost, SchedDecision, Scheduler
 from repro.sched.stats import SchedStats
+from repro.serve import SchedulerExecutor
 from tests.conftest import attach
 
 
@@ -89,3 +90,12 @@ class TestBaseContract:
         machine = Machine(sched, num_cpus=4, smp=True)
         assert sched.nr_cpus == 4
         assert sched.smp
+
+    def test_machine_satisfies_the_protocol(self):
+        machine = Machine(VanillaScheduler(), num_cpus=1, smp=False)
+        assert isinstance(machine, ProbeHost)
+
+    def test_executor_satisfies_the_protocol(self):
+        executor = SchedulerExecutor(VanillaScheduler())
+        assert isinstance(executor, ProbeHost)
+        assert executor.scheduler.machine is executor
